@@ -5,8 +5,14 @@ kernels and linear solves over an exact field, so determinism here means
 determinism everywhere: row reduction always picks the first nonzero pivot
 and normalizes it to 1, and kernel bases are read off the reduced echelon
 form with free variables set to 1 one at a time.
+
+Elimination skips zero entries: a pivot row is divided and subtracted only
+over the columns where it is nonzero, from the pivot column on.  The
+systems met downstream are very sparse, and since the arithmetic is exact
+the result is the same as a full dense sweep with the same pivot rule.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import DimensionError
@@ -299,6 +305,17 @@ class Matrix:
         return result
 
 
+def _support(row, start=0):
+    """Columns from ``start`` on where ``row`` is nonzero."""
+    return [j for j in range(start, len(row)) if row[j]]
+
+
+def _eliminate(row, f, pivot_row, support):
+    """row -= f * pivot_row, in place, over the pivot row's support."""
+    for j in support:
+        row[j] = row[j] - f * pivot_row[j]
+
+
 def rref(m):
     """Reduced row echelon form; returns (new Matrix, pivot column list)."""
     data = [list(row) for row in m.data]
@@ -313,12 +330,14 @@ def rref(m):
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        inv = data[r][c]
-        data[r] = [a / inv for a in data[r]]
+        prow = data[r]
+        support = _support(prow, c)
+        inv = prow[c]
+        for j in support:
+            prow[j] = prow[j] / inv
         for i in range(m.nrows):
             if i != r and data[i][c]:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                _eliminate(data[i], data[i][c], prow, support)
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -348,6 +367,15 @@ def kernel_basis(m):
             v[pc] = -red.data[i][fc]
         basis.append(v)
     return basis
+
+
+def _free_columns(basis):
+    """The free column each ``kernel_basis`` vector was read off.
+
+    A kernel vector is 1 at its free column and nonzero elsewhere only at
+    pivot columns left of it, so its free column is its last nonzero.
+    """
+    return [max(i for i, a in enumerate(v) if a) for v in basis]
 
 
 def solve(m, b):
@@ -383,40 +411,38 @@ class RowSpace:
         for v in vectors:
             self.add(v)
 
+    def _reduce_in_place(self, v):
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                _eliminate(v, v[p], row, _support(row, p))
+
     def add(self, v):
         """Reduce v against the current rows; absorb it when independent."""
         if len(v) != self.n:
             raise DimensionError("vector length does not match ambient dimension")
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((j for j, a in enumerate(v) if a), None)
-        if lead is None:
+        self._reduce_in_place(v)
+        support = _support(v)
+        if not support:
             return False
+        lead = support[0]
         inv = v[lead]
-        v = [a / inv for a in v]
-        self.rows.append(v)
-        self.pivots.append(lead)
-        # re-sort by pivot and back-substitute to keep rows canonical
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        for i in range(len(self.rows)):
-            for j in range(len(self.rows)):
-                if i != j and self.rows[i][self.pivots[j]]:
-                    f = self.rows[i][self.pivots[j]]
-                    self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[j])]
+        for j in support:
+            v[j] = v[j] / inv
+        # v vanishes at every existing pivot, so clearing its pivot column
+        # from the other rows keeps all rows reduced against each other
+        for row in self.rows:
+            if row[lead]:
+                _eliminate(row, row[lead], v, support)
+        k = bisect_left(self.pivots, lead)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, lead)
         return True
 
     def reduce(self, v):
         """Residue of v modulo the subspace (list, zero iff contained)."""
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        self._reduce_in_place(v)
         return v
 
     def contains(self, v):

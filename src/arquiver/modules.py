@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRadicalComputation,
 )
-from .linalg import Matrix, RowSpace, kernel_basis, rank, solve
+from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank, solve
 from .structure import (
     StructureAlgebra,
     is_hereditary as structure_is_hereditary,
@@ -77,17 +77,6 @@ class Module:
         for lab in path.arrows[1:]:
             m = m * self.mats[lab]
         return m
-
-    def element_action(self, x, src, tgt):
-        """Matrix of an algebra element restricted to M_src -> M_tgt."""
-        out = Matrix.zeros(self.dims[tgt], self.dims[src], self.field)
-        for k, c in enumerate(x):
-            if not c:
-                continue
-            p = self.alg.basis[k]
-            if p.source == src and p.target == tgt:
-                out = out + self.path_action(p).scale(c)
-        return out
 
     def __repr__(self):
         dv = ",".join(f"{v}:{d}" for v, d in self.dims.items() if d)
@@ -368,14 +357,6 @@ def kernel_submodule(f):
     return submodule_from_columns(f.src, cols)
 
 
-def image_submodule(f):
-    cols = {}
-    for v in f.src.alg.quiver.vertices:
-        m = f.mats[v]
-        cols[v] = [[m.data[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
-    return submodule_from_columns(f.tgt, cols)
-
-
 def quotient_by_subspaces(m, subspaces):
     """Quotient of m by per-vertex invariant subspaces.
 
@@ -497,51 +478,63 @@ def hom_basis(x, y):
                 if any(row):
                     rows.append(row)
     mat = Matrix(len(rows), total, rows, field)
-    out = []
-    for vec in kernel_basis(mat):
-        mats = {}
-        for v in verts:
-            block = Matrix.zeros(y.dims[v], x.dims[v], field)
-            for i in range(y.dims[v]):
-                for j in range(x.dims[v]):
-                    block.data[i][j] = vec[offsets[v] + i * x.dims[v] + j]
-            mats[v] = block
-        out.append(ModuleMap(x, y, mats, check=False))
-    return out
+    return [_unflatten(x, y, vec) for vec in kernel_basis(mat)]
+
+
+def _unflatten(x, y, flat):
+    """The map X -> Y whose ``vectorize`` is ``flat``."""
+    mats = {}
+    off = 0
+    for v in x.alg.quiver.vertices:
+        nrows, ncols = y.dims[v], x.dims[v]
+        mats[v] = Matrix(
+            nrows, ncols, [flat[off + i * ncols : off + (i + 1) * ncols] for i in range(nrows)], x.field
+        )
+        off += nrows * ncols
+    return ModuleMap(x, y, mats, check=False)
 
 
 class HomSpace:
-    """Hom(X, Y) with a fixed basis and exact coordinate lookup."""
+    """Hom(X, Y) with a fixed basis and exact coordinate lookup.
+
+    Coordinates live on the free columns of the kernel basis.  A map is
+    flattened vertex by vertex, row by row (``vectorize``), and the basis
+    is the kernel basis of the intertwining equations on those entries:
+    basis map j is 1 at the j-th free column and 0 at every other free
+    column.  So the coordinates of a map are its entries at the free
+    columns, and ``coords`` checks membership by testing that the map
+    minus the combination they give is zero.
+    """
 
     def __init__(self, x, y):
         self.x = x
         self.y = y
         self.basis = hom_basis(x, y)
         self.dim = len(self.basis)
-        vec_len = sum(y.dims[v] * x.dims[v] for v in x.alg.quiver.vertices)
-        self._cols = Matrix(
-            vec_len,
-            self.dim,
-            [[self.basis[j].vectorize()[i] for j in range(self.dim)] for i in range(vec_len)],
-            x.field,
-        )
+        flat = [b.vectorize() for b in self.basis]
+        self._free = _free_columns(flat)
+        # each basis vector as its nonzero columns and the values there
+        self._vecs = [([i for i, a in enumerate(vec) if a], [a for a in vec if a]) for vec in flat]
+
+    def _accumulate(self, acc, c):
+        """acc + sum c_j basis_j on flat vectors, in place."""
+        for cj, (cols, vals) in zip(c, self._vecs):
+            if cj:
+                for i, a in zip(cols, vals):
+                    acc[i] = acc[i] + cj * a
+        return acc
 
     def coords(self, f):
-        if self.dim == 0:
-            if all(not a for a in f.vectorize()):
-                return []
-            raise PreconditionError("map outside the hom space")
-        c = solve(self._cols, f.vectorize())
-        if c is None:
+        flat = f.vectorize()
+        c = [flat[i] for i in self._free]
+        if any(self._accumulate(flat, [-cj for cj in c])):
             raise PreconditionError("map outside the hom space")
         return c
 
     def from_coords(self, c):
-        f = ModuleMap.zero(self.x, self.y)
-        for ci, b in zip(c, self.basis):
-            if ci:
-                f = f.add(b.scale(ci))
-        return f
+        x, y = self.x, self.y
+        size = sum(y.dims[v] * x.dims[v] for v in x.alg.quiver.vertices)
+        return _unflatten(x, y, self._accumulate([x.field.zero] * size, c))
 
 
 def end_radical_coords(m, basis, homspace=None):
@@ -1028,8 +1021,8 @@ class EndAnalysis:
 
 def end_algebra_analysis(m):
     """End(M) as a structure algebra with radical and shape flags."""
-    basis = hom_basis(m, m)
     hs = HomSpace(m, m)
+    basis = hs.basis
     d = len(basis)
     table = [[hs.coords(basis[i].compose(basis[j])) for j in range(d)] for i in range(d)]
     unit = hs.coords(ModuleMap.identity(m))
@@ -1061,9 +1054,9 @@ def almost_split_sequence(m):
     """
     if m.total_dim == 0:
         raise PreconditionError("almost split sequence of the zero module")
-    ends = hom_basis(m, m)
-    rad_coords = end_radical_coords(m, ends)
-    if len(ends) - len(rad_coords) != 1:
+    hs_end = HomSpace(m, m)
+    rad_coords = end_radical_coords(m, hs_end.basis)
+    if hs_end.dim - len(rad_coords) != 1:
         raise NonLocalEndRing("module is not certified indecomposable")
     pres = min_presentation(m)
     if not pres.verts1:
@@ -1087,16 +1080,13 @@ def almost_split_sequence(m):
     # one endomorphism lift per radical generator, acting on Ext classes
     end_p0 = HomSpace(pres.p0, pres.p0)
     hom_p0_m = HomSpace(pres.p0, m)
+    lifts = [hom_p0_m.coords(pres.epi.compose(b)) for b in end_p0.basis]
     lift_cols = Matrix(
         hom_p0_m.dim,
         end_p0.dim,
-        [
-            [hom_p0_m.coords(pres.epi.compose(end_p0.basis[j]))[i] for j in range(end_p0.dim)]
-            for i in range(hom_p0_m.dim)
-        ],
+        [[lift[i] for lift in lifts] for i in range(hom_p0_m.dim)],
         m.field,
     )
-    hs_end = HomSpace(m, m)
     action_mats = []
     for rc in rad_coords:
         rho = hs_end.from_coords(rc)
@@ -1127,10 +1117,7 @@ def almost_split_sequence(m):
         phi_k = ModuleMap(ker, ker, mats, check=False)
         cols_q = []
         for i in quot_coords:
-            unit = [m.field.zero] * hom_k.dim
-            unit[i] = m.field.one
-            g = hom_k.from_coords(unit)
-            cols_q.append(to_quot(hom_k.coords(g.compose(phi_k))))
+            cols_q.append(to_quot(hom_k.coords(hom_k.basis[i].compose(phi_k))))
         action_mats.append(
             Matrix(ext_dim, ext_dim, [[cols_q[j][i] for j in range(ext_dim)] for i in range(ext_dim)], m.field)
         )

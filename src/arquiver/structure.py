@@ -131,18 +131,116 @@ def rational_roots(p, field=QQ):
                     changed = True
                     break
     else:
-        for v in range(field.char):
-            lam = field.from_int(v)
+        for lam in _fp_roots(p, field):
             mult = 0
-            while poly_degree(p) > 0 and not poly_eval(p, lam, field):
+            while poly_degree(p) > 0:
                 q, r = poly_divide_linear(p, lam, field)
                 if r:
                     break
                 p = poly_normalize(q, field)
                 mult += 1
-            if mult:
-                roots.append((lam, mult))
+            roots.append((lam, mult))
     return roots, poly_degree(p)
+
+
+# -- roots over F_p ------------------------------------------------------
+# Polynomials here are lists of ints mod p, low degree first, with no
+# trailing zero, so the zero polynomial is [].
+
+
+def _ip_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ip_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero b."""
+    a = list(a)
+    inv = pow(b[-1], p - 2, p)
+    db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = q[top - db] = a[top] * inv % p
+        if c:
+            for i, bi in enumerate(b):
+                a[top - db + i] = (a[top - db + i] - c * bi) % p
+    return q, _ip_trim(a[:db])
+
+
+def _ip_mod(a, b, p):
+    return _ip_divmod(a, b, p)[1]
+
+
+def _ip_mulmod(a, b, m, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _ip_mod([c % p for c in out], m, p)
+
+
+def _ip_powmod(base, e, m, p):
+    result = [1]
+    base = _ip_mod(base, m, p)
+    while e:
+        if e & 1:
+            result = _ip_mulmod(result, base, m, p)
+        e >>= 1
+        if e:
+            base = _ip_mulmod(base, base, m, p)
+    return result
+
+
+def _ip_monic_gcd(a, b, p):
+    while b:
+        a, b = b, _ip_mod(a, b, p)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _ip_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _ip_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _ip_split(g, p):
+    """Roots of a monic g that is a product of distinct linear factors.
+
+    Deterministic Cantor-Zassenhaus: for a = 0, 1, 2, ... the factor
+    gcd(g, (x + a)^((p-1)/2) - 1) collects the roots r with r + a a
+    nonzero square.  Two distinct roots differ in that respect for some a,
+    so the loop always splits g.
+    """
+    if len(g) == 1:
+        return []
+    if len(g) == 2:
+        return [-g[0] % p]
+    if p == 2:
+        return [v for v in (0, 1) if not sum(c * v**i for i, c in enumerate(g)) % 2]
+    for a in range(p):
+        h = _ip_sub(_ip_powmod([a, 1], (p - 1) // 2, g, p), [1], p)
+        k = _ip_monic_gcd(g, h, p)
+        if 1 < len(k) < len(g):
+            return _ip_split(k, p) + _ip_split(_ip_divmod(g, k, p)[0], p)
+    raise RuntimeError("no shift splits a product of distinct linear factors")
+
+
+def _fp_roots(poly, field):
+    """The distinct roots in F_p of a nonconstant polynomial, ascending.
+
+    They are the roots of g = gcd(f, x^p - x), with x^p taken modulo f by
+    repeated squaring, so no scan of the field is needed.
+    """
+    p = field.char
+    f = _ip_trim([c.value for c in poly])
+    h = _ip_sub(_ip_powmod([0, 1], p, f, p), [0, 1], p)
+    g = _ip_monic_gcd(f, h, p)
+    return [field.from_int(r) for r in sorted(_ip_split(g, p))]
 
 
 # -- structure algebras --------------------------------------------------

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from arquiver.errors import PreconditionError
+from arquiver.errors import DimensionError, PreconditionError
 from arquiver.linalg import Matrix, RowSpace
 from arquiver.modules import (
+    HomSpace,
     Module,
+    ModuleMap,
     almost_split_sequence,
     annihilator,
     canonical_modules,
@@ -372,3 +374,50 @@ def test_decompose_pieces_are_local_and_additive(alg_cycle4, c4):
         rad = end_radical_coords(piece, ends)
         assert len(ends) - len(rad) == 1
     assert tuple(dv) == total.dim_vector
+
+
+@pytest.fixture(scope="module")
+def a3_hom_spaces(arq_a3line):
+    """Hom spaces between the indecomposables of linear A3 and their sum."""
+    mods = [arq_a3line.module_of(n) for n in arq_a3line.names()]
+    total, _inc, _prj = direct_sum(mods)
+    mods.append(total)
+    mods.append(regular_module(arq_a3line.alg))
+    return [HomSpace(x, y) for x in mods for y in mods]
+
+
+def test_hom_space_coordinates_round_trip(a3_hom_spaces):
+    assert max(hs.dim for hs in a3_hom_spaces) > 6
+    for hs in a3_hom_spaces:
+        field = hs.x.field
+        for j, b in enumerate(hs.basis):
+            unit = [field.one if i == j else field.zero for i in range(hs.dim)]
+            assert hs.coords(b) == unit
+            assert hs.from_coords(hs.coords(b)).mats == b.mats
+        c = [Fraction(i * i - 3, i + 1) for i in range(hs.dim)]
+        f = hs.from_coords(c)
+        f._validate()
+        assert hs.coords(f) == c
+
+
+def test_hom_space_rejects_maps_outside_it(a3_hom_spaces):
+    rejected = 0
+    for hs in a3_hom_spaces:
+        x, y = hs.x, hs.y
+        if x.total_dim == 0 or y.total_dim == 0:
+            continue
+        ones = ModuleMap(
+            x,
+            y,
+            {v: Matrix(y.dims[v], x.dims[v], [[Fraction(1)] * x.dims[v]] * y.dims[v]) for v in x.dims},
+            check=False,
+        )
+        try:
+            ones._validate()
+        except DimensionError:
+            with pytest.raises(PreconditionError):
+                hs.coords(ones)
+            rejected += 1
+        else:
+            assert hs.from_coords(hs.coords(ones)).mats == ones.mats
+    assert rejected > 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from arquiver.structure import (
     is_hereditary,
     lift_idempotent,
     matrix_min_poly,
+    poly_degree,
     poly_divide_linear,
+    poly_eval,
+    poly_normalize,
     primitive_orthogonal_idempotents,
     rational_roots,
     split_commutative_semisimple,
@@ -102,6 +106,65 @@ def test_rational_roots_irrational_residual():
 def test_rational_roots_fractional():
     roots, residual = rational_roots([F(-1), F(2)])  # 2x - 1
     assert roots == [(F(1, 2), 1)] and residual == 0
+
+
+def _scan_roots(poly, field):
+    """Roots over F_p found by evaluating at every element of the field."""
+    roots = []
+    for v in range(field.char):
+        lam = field.from_int(v)
+        mult = 0
+        while poly_degree(poly) > 0 and not poly_eval(poly, lam, field):
+            poly, _r = poly_divide_linear(poly, lam, field)
+            poly = poly_normalize(poly, field)
+            mult += 1
+        if mult:
+            roots.append((lam, mult))
+    return roots, poly_degree(poly)
+
+
+def _from_roots(field, roots, cofactor=None):
+    """Monic product of (x - r) over roots, times an optional cofactor."""
+    poly = list(cofactor) if cofactor else [field.one]
+    for r in roots:
+        r = field.from_int(r)
+        shifted = [field.zero] + poly
+        poly = [a - r * b for a, b in zip(shifted, poly + [field.zero])]
+    return poly
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_rational_roots_over_fp_match_a_scan(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(120):
+        if rng.random() < 0.5:
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
+            poly = [field.from_int(c) for c in coeffs]
+        else:
+            roots = [rng.randrange(p) for _ in range(rng.randint(1, 7))]
+            cofactor = [field.from_int(rng.randrange(p)) for _ in range(rng.randint(1, 4))]
+            poly = _from_roots(field, roots, cofactor)
+        if poly_degree(poly_normalize(poly, field)) == 0:
+            continue
+        assert rational_roots(poly, field) == _scan_roots(poly_normalize(poly, field), field)
+
+
+def test_rational_roots_over_large_prime_from_known_factors():
+    field = PrimeField(32003)
+    x2_plus_1 = [field.one, field.zero, field.one]  # 32003 = 3 mod 4: irreducible
+    cases = [
+        ([5], None, [(5, 1)], 0),
+        ([0, 0, 32002, 7, 7, 7], None, [(0, 2), (7, 3), (32002, 1)], 0),
+        ([1, 2, 3, 4, 16001, 16002], x2_plus_1, [(1, 1), (2, 1), (3, 1), (4, 1), (16001, 1), (16002, 1)], 2),
+        ([], x2_plus_1, [], 2),
+        ([31999, 31999], [field.from_int(2)], [(31999, 2)], 0),
+    ]
+    for roots, cofactor, expected, residual in cases:
+        poly = _from_roots(field, roots, cofactor)
+        found, left = rational_roots(poly, field)
+        assert [(r.value, m) for r, m in found] == expected
+        assert left == residual
 
 
 def test_matrix_min_poly_nilpotent():
