@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success or affirmative verdict; 1 negative verdict to a
-boolean question; 2 input error; 3 resource limit.  Diagnostics go to
-stderr, reports to stdout or --out.
+boolean question; 2 input error or failed internal invariant; 3 resource
+limit.  Diagnostics go to stderr, reports to stdout or --out.
 """
 
 import argparse

@@ -123,46 +123,48 @@ def _cycle_inside(arq, cut):
     return any(dfs(n) for n in sorted(cut) if color.get(n, 0) == 0)
 
 
+def _closure(seeds, step):
+    """Every vertex reachable from ``seeds`` along ``step`` (vertex -> neighbours)."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for m in step[stack.pop()]:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
+def _convex(cut, vertices, edges):
+    """Whether no vertex outside ``cut`` lies on a directed path over
+    ``edges`` between two vertices of ``cut``."""
+    succ = {n: set() for n in vertices}
+    pred = {n: set() for n in vertices}
+    for s, t in edges:
+        succ[s].add(t)
+        pred[t].add(s)
+    return (_closure(cut, succ) & _closure(cut, pred)) <= set(cut)
+
+
+def _convex_in_ind(arq, cut):
+    """Convexity in ind A, read from the support of rad^1: the pairs (X, Y)
+    with rad(X, Y) != 0."""
+    support = [pair for pair, space in arq.rad1().items() if space.dim > 0]
+    return _convex(cut, arq.names(), support)
+
+
 def convexity_checks(arq, cut):
     """Weak convexity, convexity in ind A, and acyclicity of a subquiver."""
     arq.require_modules("convexity checks")
     cut = set(cut)
-    outside = [n for n in arq.names() if n not in cut]
-    weakly = True
-    for m in outside:
-        if not weakly:
-            break
-        for x in sorted(cut):
-            if not weakly:
-                break
-            for y in sorted(cut):
-                if nonzero_path_exists(arq, x, y, via=m):
-                    weakly = False
-                    break
-    rad1 = arq.rad_powers()[0] if arq.rad_powers() else {}
-    succ = {n: set() for n in arq.names()}
-    pred = {n: set() for n in arq.names()}
-    for (x, y), space in rad1.items():
-        if space.dim > 0:
-            succ[x].add(y)
-            pred[y].add(x)
-
-    def closure(seeds, step):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            n = stack.pop()
-            for m in step[n]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    from_cut = closure(cut, succ)
-    to_cut = closure(cut, pred)
-    convex = not any(m in from_cut and m in to_cut for m in outside)
-    acyclic = not _cycle_inside(arq, cut)
-    return ConvexityResult(weakly, convex, acyclic)
+    weakly = not any(
+        nonzero_path_exists(arq, x, y, via=m)
+        for m in arq.names()
+        if m not in cut
+        for x in sorted(cut)
+        for y in sorted(cut)
+    )
+    return ConvexityResult(weakly, _convex_in_ind(arq, cut), not _cycle_inside(arq, cut))
 
 
 @dataclass
@@ -178,47 +180,16 @@ def _connected_in(arq, cut):
         if s in cut and t in cut:
             adj[s].add(t)
             adj[t].add(s)
-    start = sorted(cut)[0]
-    seen = set()
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adj[n])
-    return seen == cut
-
-
-def _arrow_convex_in_component(arq, cut, component):
-    cut = set(cut)
-    comp = set(component)
-    succ = {n: set() for n in comp}
-    pred = {n: set() for n in comp}
-    for (s, t) in arq.arrows:
-        if s in comp and t in comp:
-            succ[s].add(t)
-            pred[t].add(s)
-
-    def closure(seeds, step):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            n = stack.pop()
-            for m in step[n]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    reach = closure(cut, succ)
-    coreach = closure(cut, pred)
-    return not any(m not in cut and m in reach and m in coreach for m in comp)
+    return _closure([sorted(cut)[0]], adj) == cut
 
 
 def is_slice_section(arq, cut):
-    """Slice per the cut+sincere+convex characterization; section per the
-    one-per-orbit definition inside the ambient component."""
+    """Slice and section flags of a vertex set.
+
+    Slice: a cut that is sincere and convex in ind A, with convexity read
+    from the support of rad^1 (no radical powers, no path search).  Section:
+    the one-per-orbit definition inside the ambient component.
+    """
     cut = set(cut)
     # section: purely combinatorial
     section = True
@@ -240,8 +211,10 @@ def is_slice_section(arq, cut):
                 if len(set(o) & cut) != 1:
                     section = False
                     break
-            if section and not _arrow_convex_in_component(arq, cut, comp):
-                section = False
+            if section:
+                comp = set(comp)
+                inside = [(s, t) for (s, t) in arq.arrows if s in comp and t in comp]
+                section = _convex(cut, comp, inside)
     if arq.abstract:
         return SliceSectionResult(None, section)
     cut_ok, _ = is_cut(arq, cut)
@@ -251,8 +224,7 @@ def is_slice_section(arq, cut):
     sincere, _faithful = sincere_faithful(mods)
     if not sincere:
         return SliceSectionResult(False, section)
-    conv = convexity_checks(arq, cut)
-    return SliceSectionResult(conv.convex_in_ind, section)
+    return SliceSectionResult(_convex_in_ind(arq, cut), section)
 
 
 def slice_by_definition(arq, cut):
@@ -263,7 +235,7 @@ def slice_by_definition(arq, cut):
     sincere, _ = sincere_faithful(mods)
     if not sincere:
         return False
-    if not convexity_checks(arq, cut).convex_in_ind:
+    if not _convex_in_ind(arq, cut):
         return False
     for x in cut:
         if arq.tau.get(x) in cut:
@@ -277,38 +249,28 @@ def slice_by_definition(arq, cut):
 
 
 def enumerate_cuts(arq, cap=10**6):
-    """All nonempty cuts by backtracking with arrow-constraint pruning."""
+    """All nonempty cuts by backtracking with arrow-constraint pruning.
+
+    Each cut condition is compiled to a triple ``(guard, a, b)`` of vertex
+    indices, checked at the depth of its last participant: when ``guard``
+    is chosen, exactly one of ``a`` and ``b`` must be.  A zero translate has
+    ``b = -1``, which reads the trailing always-False slot of ``chosen``.
+    """
     names = arq.names()
     index = {n: i for i, n in enumerate(names)}
-    conditions = []
+    by_depth = [[] for _ in names]
     for (x, y) in sorted(arq.arrows):
-        status, ty = arq.tau_status(y)
-        if status != "unknown":
-            participants = [x, y] + ([ty] if ty is not None else [])
-            conditions.append(("c1", x, y, ty, max(index[p] for p in participants)))
-        status, tx = arq.tau_inv_status(x)
-        if status != "unknown":
-            participants = [x, y] + ([tx] if tx is not None else [])
-            conditions.append(("c2", x, y, tx, max(index[p] for p in participants)))
-    by_depth = {}
-    for cond in conditions:
-        by_depth.setdefault(cond[4], []).append(cond)
+        for guard, other, (status, t) in (
+            (x, y, arq.tau_status(y)),
+            (y, x, arq.tau_inv_status(x)),
+        ):
+            if status != "unknown":
+                cond = (index[guard], index[other], -1 if t is None else index[t])
+                by_depth[max(cond)].append(cond)
 
     results = []
-    chosen = {}
+    chosen = [False] * (len(names) + 1)
     nodes = 0
-
-    def check(cond):
-        kind, x, y, t, _ = cond
-        if kind == "c1":
-            if not chosen.get(x):
-                return True
-            hits = (1 if chosen.get(y) else 0) + (1 if t is not None and chosen.get(t) else 0)
-            return hits == 1
-        if not chosen.get(y):
-            return True
-        hits = (1 if chosen.get(x) else 0) + (1 if t is not None and chosen.get(t) else 0)
-        return hits == 1
 
     def walk(depth):
         nonlocal nodes
@@ -316,15 +278,18 @@ def enumerate_cuts(arq, cap=10**6):
         if nodes > cap:
             raise CapExceeded(f"cut enumeration exceeded the cap of {cap} nodes")
         if depth == len(names):
-            cut = frozenset(n for n in names if chosen.get(n))
+            cut = frozenset(n for n, c in zip(names, chosen) if c)
             if cut:
                 results.append(cut)
             return
+        conds = by_depth[depth]
         for value in (True, False):
-            chosen[names[depth]] = value
-            if all(check(c) for c in by_depth.get(depth, ())):
+            chosen[depth] = value
+            for guard, a, b in conds:
+                if chosen[guard] and chosen[a] + chosen[b] != 1:
+                    break
+            else:
                 walk(depth + 1)
-        del chosen[names[depth]]
 
     walk(0)
     return results

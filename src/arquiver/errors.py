@@ -52,5 +52,9 @@ class CapExceeded(ArquiverError):
     """Cut enumeration exceeded the candidate cap."""
 
 
+class InternalError(ArquiverError):
+    """An internal invariant failed: a defect in the toolkit, not in the input."""
+
+
 class PreconditionError(ArquiverError):
     """Operation invoked with its stated hypotheses violated."""

@@ -63,6 +63,7 @@ class ARQuiver:
         self.arrow_maps = {}
         self._hom_spaces = {}
         self._end_rad_dims = {}
+        self._rad1 = None
         self._rad_powers = None
 
     # -- structure access --------------------------------------------------
@@ -185,7 +186,7 @@ class ARQuiver:
         """Coordinates of rad End at a vertex, in its End-basis."""
         if name not in self._end_rad_dims:
             hs = self.hom_space(name, name)
-            self._end_rad_dims[name] = end_radical_coords(self.module_of(name), hs.basis, hs)
+            self._end_rad_dims[name] = end_radical_coords(self.module_of(name), hs.basis)
         return self._end_rad_dims[name]
 
     def harada_sai_bound(self):
@@ -193,6 +194,30 @@ class ARQuiver:
         return 2**b - 1
 
     # -- radical filtration ---------------------------------------------------
+
+    def rad1(self):
+        """Dict (x, y) -> RowSpace of rad(X, Y) coordinates, the first level.
+
+        rad(X, X) is rad End(X); between distinct vertices every map is radical.
+        """
+        self.require_complete("the radical filtration")
+        if self._rad1 is None:
+            level1 = {}
+            for x in self.names():
+                for y in self.names():
+                    hs = self.hom_space(x, y)
+                    space = RowSpace(hs.dim, field=self.alg.field)
+                    if x == y:
+                        for r in self.end_radical(x):
+                            space.add(r)
+                    else:
+                        for i in range(hs.dim):
+                            unit = [self.alg.field.zero] * hs.dim
+                            unit[i] = self.alg.field.one
+                            space.add(unit)
+                    level1[(x, y)] = space
+            self._rad1 = level1
+        return self._rad1
 
     def rad_powers(self):
         """List of dicts (x, y) -> RowSpace of rad^n coordinates, n >= 1.
@@ -204,20 +229,7 @@ class ARQuiver:
         if self._rad_powers is not None:
             return self._rad_powers
         names = self.names()
-        level1 = {}
-        for x in names:
-            for y in names:
-                hs = self.hom_space(x, y)
-                space = RowSpace(hs.dim, field=self.alg.field)
-                if x == y:
-                    for r in self.end_radical(x):
-                        space.add(r)
-                else:
-                    for i in range(hs.dim):
-                        unit = [self.alg.field.zero] * hs.dim
-                        unit[i] = self.alg.field.one
-                        space.add(unit)
-                level1[(x, y)] = space
+        level1 = self.rad1()
         powers = [level1]
         bound = self.harada_sai_bound()
         while True:
@@ -299,7 +311,7 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
     if x not in arq.vertices or y not in arq.vertices:
         raise PreconditionError("endpoints are not vertices of the quiver")
     permitted = set(names) if allowed is None else set(allowed) | {x, y}
-    rad1 = arq.rad_powers()[0] if arq.rad_powers() else {}
+    rad1 = arq.rad1()
     field = arq.alg.field
 
     def empty_state():

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     DimensionError,
+    InternalError,
     NonLocalEndRing,
     NonSplitEndomorphismRing,
     PreconditionError,
@@ -537,7 +538,7 @@ class HomSpace:
         return _unflatten(x, y, self._accumulate([x.field.zero] * size, c))
 
 
-def end_radical_coords(m, basis, homspace=None):
+def end_radical_coords(m, basis):
     """Coordinates (in the given End basis) of rad End(M).
 
     Uses the trace form of the action on M, valid in characteristic 0 and
@@ -697,7 +698,7 @@ def decompose_with_inclusions(m):
             for _ in range(e):
                 g, r = poly_divide_linear(g, lam, field)
                 if r:
-                    raise RuntimeError("root multiplicity bookkeeping failed")
+                    raise InternalError("root multiplicity bookkeeping failed")
             if poly_degree(g) == 0:
                 continue
             shifted = cand.polynomial([-lam, field.one]).power(e)
@@ -706,7 +707,7 @@ def decompose_with_inclusions(m):
             if m1.total_dim == 0 or m2.total_dim == 0:
                 continue
             if m1.total_dim + m2.total_dim != m.total_dim:
-                raise RuntimeError("generalized eigenspaces do not fill the module")
+                raise InternalError("generalized eigenspaces do not fill the module")
             out = []
             for piece, inc in decompose_with_inclusions(m1):
                 out.append((piece, inc1.compose(inc)))

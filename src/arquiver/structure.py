@@ -9,6 +9,7 @@ smaller is refused rather than silently wrong.
 
 from .errors import (
     InadmissibleIdeal,
+    InternalError,
     NonSplitEndomorphismRing,
     UnsupportedRadicalComputation,
 )
@@ -68,7 +69,7 @@ def matrix_min_poly(m):
         vecs.append(v)
         power = power * m
         if len(vecs) > n + 1:
-            raise RuntimeError("minimal polynomial search did not terminate")
+            raise InternalError("minimal polynomial search did not terminate")
 
 
 def rational_roots(p, field=QQ):
@@ -227,7 +228,7 @@ def _ip_split(g, p):
         k = _ip_monic_gcd(g, h, p)
         if 1 < len(k) < len(g):
             return _ip_split(k, p) + _ip_split(_ip_divmod(g, k, p)[0], p)
-    raise RuntimeError("no shift splits a product of distinct linear factors")
+    raise InternalError("no shift splits a product of distinct linear factors")
 
 
 def _fp_roots(poly, field):

@@ -93,6 +93,23 @@ def test_slice_section_on_cycle4(arq_cycle4):
     assert not res.slice and not res.section
 
 
+def test_section_needs_path_closure():
+    # {x, w, z} is connected, acyclic and meets each orbit once, but the
+    # path x -> y -> z leaves it through y
+    from arquiver.knitting import abstract_quiver
+
+    arq = abstract_quiver(
+        [(n, False, False, False) for n in "xyzw"],
+        [("x", "y", 1), ("y", "z", 1), ("x", "w", 1), ("w", "z", 1)],
+        [("y", "w")],
+    )
+    assert not is_slice_section(arq, ["x", "w", "z"]).section
+    chain = abstract_quiver(
+        [(n, False, False, False) for n in "xyz"], [("x", "y", 1), ("y", "z", 1)], []
+    )
+    assert is_slice_section(chain, ["x", "y", "z"]).section
+
+
 def test_delta_misses_projective_orbits(arq_cycle4):
     orbits = arq_cycle4.tau_orbits()
     for p in ("P_a", "P_c"):
