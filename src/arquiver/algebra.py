@@ -102,29 +102,6 @@ class Quiver:
             [Arrow(a.label, a.target, a.source) for a in self.arrows.values()],
         )
 
-    def connected_components(self):
-        """Vertex sets of the underlying undirected graph, in vertex order."""
-        seen = set()
-        comps = []
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows.values():
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                if w in seen:
-                    continue
-                seen.add(w)
-                comp.append(w)
-                stack.extend(sorted(adj[w]))
-            comps.append(sorted(comp, key=self.vertices.index))
-        return comps
-
 
 class Relation:
     """A k-combination of parallel path words, every word of length >= 2."""

@@ -140,29 +140,6 @@ class ARQuiver:
             orbits.setdefault(find(n), []).append(n)
         return list(orbits.values())
 
-    def components(self):
-        """Connected components (arrows as undirected edges), ordered."""
-        adj = {n: set() for n in self.vertices}
-        for s, t in self.arrows:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen = set()
-        comps = []
-        for n in self.vertices:
-            if n in seen:
-                continue
-            comp = []
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if m in seen:
-                    continue
-                seen.add(m)
-                comp.append(m)
-                stack.extend(sorted(adj[m]))
-            comps.append(sorted(comp, key=list(self.vertices).index))
-        return comps
-
     def combinatorial_data(self):
         """Canonical tuple for round-trip comparison."""
         verts = tuple(
@@ -242,27 +219,36 @@ class ARQuiver:
                     "radical filtration did not vanish within the Harada-Sai bound; "
                     "quiver is incomplete or the algebra is not representation-finite"
                 )
-            nxt = {}
-            for x in names:
-                for y in names:
-                    hs_xy = self.hom_space(x, y)
-                    space = RowSpace(hs_xy.dim, field=self.alg.field)
-                    for z in names:
-                        left = prev[(z, y)]
-                        right = level1[(x, z)]
-                        if left.dim == 0 or right.dim == 0:
-                            continue
-                        hs_zy = self.hom_space(z, y)
-                        hs_xz = self.hom_space(x, z)
-                        for lrow in left.rows:
-                            lmap = hs_zy.from_coords(lrow)
-                            for rrow in right.rows:
-                                rmap = hs_xz.from_coords(rrow)
-                                space.add(hs_xy.coords(lmap.compose(rmap)))
-                    nxt[(x, y)] = space
-            powers.append(nxt)
+            powers.append(self.compose_levels(prev, level1, names))
         self._rad_powers = powers
         return powers
+
+    def compose_levels(self, left, right, names):
+        """Dict (x, y) -> RowSpace spanned by left[(z, y)] . right[(x, z)],
+        over x, y and z in ``names``.
+
+        ``left`` and ``right`` map vertex pairs to RowSpaces of Hom-space
+        coordinates, as ``rad1`` does.
+        """
+        out = {}
+        for x in names:
+            for y in names:
+                hs_xy = self.hom_space(x, y)
+                space = RowSpace(hs_xy.dim, field=self.alg.field)
+                for z in names:
+                    lspace = left[(z, y)]
+                    rspace = right[(x, z)]
+                    if lspace.dim == 0 or rspace.dim == 0:
+                        continue
+                    hs_zy = self.hom_space(z, y)
+                    hs_xz = self.hom_space(x, z)
+                    for lrow in lspace.rows:
+                        lmap = hs_zy.from_coords(lrow)
+                        for rrow in rspace.rows:
+                            rmap = hs_xz.from_coords(rrow)
+                            space.add(hs_xy.coords(lmap.compose(rmap)))
+                out[(x, y)] = space
+        return out
 
     def locate(self, module):
         """Vertex name of an identical module object, if registered."""
@@ -425,18 +411,12 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
     cans = canonical_modules(alg)
     mnames = {}
 
-    def assign_name(module):
+    def assign_name(module, canonical):
         if module.total_dim == 1:
             v = next(w for w in alg.quiver.vertices if module.dims[w])
             return f"S_{v}"
-        for v in alg.quiver.vertices:
-            p = cans[v][0]
-            if module.dim_vector == p.dim_vector and is_isomorphic(module, p):
-                return f"P_{v}"
-        for v in alg.quiver.vertices:
-            i = cans[v][1]
-            if module.dim_vector == i.dim_vector and is_isomorphic(module, i):
-                return f"I_{v}"
+        if canonical:
+            return canonical
         dv = ",".join(str(d) for d in module.dim_vector)
         k = mnames.get(dv, 0) + 1
         mnames[dv] = k
@@ -444,7 +424,13 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
 
     pending = deque()
 
-    def get_or_add(module):
+    def get_or_add(module, canonical=None, is_proj=False, is_inj=False):
+        """The vertex of ``module``, registered under a new name if it has none.
+
+        ``canonical`` names P_v or I_v.  Those are all registered first, so a
+        later module that matches no vertex is neither projective nor
+        injective.
+        """
         if module.total_dim == 0:
             raise PreconditionError("attempted to register the zero module")
         for n, v in arq.vertices.items():
@@ -459,25 +445,20 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
             raise LimitExceeded(
                 f"vertex count exceeds --max-vertices {max_vertices}", partial=arq
             )
-        name = assign_name(module)
-        is_proj = any(
-            module.dim_vector == cans[v][0].dim_vector and is_isomorphic(module, cans[v][0])
-            for v in alg.quiver.vertices
-        )
-        is_inj = any(
-            module.dim_vector == cans[v][1].dim_vector and is_isomorphic(module, cans[v][1])
-            for v in alg.quiver.vertices
-        )
-        arq.vertices[name] = ARVertex(
-            name, module, is_proj, is_inj, module.dim_vector
-        )
+        name = assign_name(module, canonical)
+        arq.vertices[name] = ARVertex(name, module, is_proj, is_inj, module.dim_vector)
         pending.append(name)
         return name
 
     for v in alg.quiver.vertices:
-        get_or_add(cans[v][0])
+        p = cans[v][0]
+        is_inj = any(
+            p.dim_vector == i.dim_vector and is_isomorphic(p, i) for _p, i, _s in cans.values()
+        )
+        get_or_add(p, f"P_{v}", True, is_inj)
+    # an injective isomorphic to a projective finds the projective's vertex
     for v in alg.quiver.vertices:
-        get_or_add(cans[v][1])
+        get_or_add(cans[v][1], f"I_{v}", False, True)
 
     def record_arrow(src, tgt, fmap):
         self_key = (src, tgt)

@@ -381,37 +381,6 @@ def quotient_algebra(alg, ideal_rows):
     return q, project, reps
 
 
-def corner_algebra(alg, e):
-    """The corner e*A*e with unit e; returns (corner, embed, project)."""
-    span = RowSpace(alg.dim, field=alg.field)
-    gens = []
-    for i in range(alg.dim):
-        v = alg.mul(e, alg.mul(alg.basis_vector(i), e))
-        if span.add(v):
-            gens.append(v)
-    basis = [list(r) for r in span.rows]
-    cols = Matrix(alg.dim, len(basis), [[basis[j][i] for j in range(len(basis))] for i in range(alg.dim)], alg.field)
-
-    def coords(x):
-        s = solve(cols, x)
-        if s is None:
-            raise NonSplitEndomorphismRing("element escapes the corner subalgebra")
-        return s
-
-    table = [[coords(alg.mul(basis[i], basis[j])) for j in range(len(basis))] for i in range(len(basis))]
-    corner = StructureAlgebra(table, coords(e), alg.field)
-
-    def embed(x):
-        out = [alg.field.zero] * alg.dim
-        for c, b in zip(x, basis):
-            if c:
-                for k, v in enumerate(b):
-                    out[k] = out[k] + c * v
-        return out
-
-    return corner, embed, coords
-
-
 def split_commutative_semisimple(alg):
     """Primitive idempotents of a commutative split-semisimple algebra.
 
@@ -521,22 +490,14 @@ def primitive_orthogonal_idempotents(alg):
             out[i] = c
         return out
 
+    # Lift each idempotent inside g A g, g = 1 - (the ones lifted so far),
+    # so it is orthogonal to all of them.
     idempotents = []
-    remaining = [lift_coords(b) for b in bars]
-    unit = alg.unit
-    current_alg, embed = alg, lambda x: x
-    while remaining:
-        f = lift_idempotent(current_alg, remaining[0])
-        idempotents.append(embed(f))
-        remaining = remaining[1:]
-        if not remaining:
-            break
-        g = [a - b for a, b in zip(current_alg.unit, f)]
-        corner, embed_corner, coords_corner = corner_algebra(current_alg, g)
-        prev_embed = embed
-        remaining = [coords_corner(current_alg.mul(g, current_alg.mul(x, g))) for x in remaining]
-        current_alg = corner
-        embed = lambda x, pe=prev_embed, ec=embed_corner: pe(ec(x))
+    g = list(alg.unit)
+    for b in bars:
+        f = lift_idempotent(alg, alg.mul(g, alg.mul(lift_coords(b), g)))
+        idempotents.append(f)
+        g = [a - c for a, c in zip(g, f)]
     total = [alg.field.zero] * alg.dim
     for e in idempotents:
         total = [a + b for a, b in zip(total, e)]

@@ -15,6 +15,7 @@ from arquiver.knitting import (
 )
 from arquiver.modules import (
     ModuleMap,
+    canonical_modules,
     direct_sum,
     end_algebra_analysis,
     is_isomorphic,
@@ -283,3 +284,21 @@ def test_local_selfinjective_loop_knit():
     assert sorted(arq.vertices) == ["P_a", "S_a"]
     assert arq.tau == {"S_a": "S_a"}
     assert set(arq.arrows) == {("S_a", "P_a"), ("P_a", "S_a")}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(FIXTURES / "cycle4_rad2.alg").read_text(), (FIXTURES / "b_a3.alg").read_text(),
+     D4_TEXT, SQUARE_TEXT, LOOP_TEXT],
+    ids=["cycle4", "b_a3", "D4", "SQUARE", "LOOP"],
+)
+def test_projective_and_injective_flags_match_isomorphism_tests(text):
+    # knit flags P_v and I_v at registration only (each of these algebras
+    # has a projective-injective); test every vertex against every
+    # canonical projective and injective
+    alg = build_basis(parse_presentation(text))
+    arq = knit(alg)
+    cans = canonical_modules(alg).values()
+    for vert in arq.vertices.values():
+        assert vert.is_projective == any(is_isomorphic(vert.module, p) for p, _i, _s in cans)
+        assert vert.is_injective == any(is_isomorphic(vert.module, i) for _p, i, _s in cans)

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from arquiver.algebra import build_basis, parse_presentation
+from arquiver.cli import main
 from arquiver.cuts import certify_tilted, hom_tau_test, is_cut
 from arquiver.errors import UnsupportedRadicalComputation
 from arquiver.knitting import knit
@@ -79,3 +82,28 @@ def test_hom_still_works_over_f2():
     p_b = projective_module(alg, "b")
     s_b = simple_module(alg, "b")
     assert len(hom_basis(p_b, s_b)) == 1
+
+
+def linear_a(n, field):
+    lines = [f"field {field}"] + [f"vertex v{i}" for i in range(1, n + 1)]
+    lines += [f"arrow a{i}: v{i} -> v{i + 1}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,p", [(5, 13), (6, 17)])
+def test_cli_certify_over_prime_below_dim_end_t(tmp_path, capsys, n, p):
+    # p <= dim End(T) of the witness (15 for A5, 21 for A6): heredity of
+    # End(T) needs no trace form, so the report equals the one over Q
+    reports = []
+    for field in (f"F {p}", "Q"):
+        path = tmp_path / f"a{n}.alg"
+        path.write_text(linear_a(n, field))
+        rc = main(["tilted", "certify", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        reports.append(captured.out)
+    cert = json.loads(reports[0])
+    assert cert["verdict"] == "CERTIFIED_TILTED"
+    assert cert["witness"] == [f"P_v{i}" for i in range(1, n)] + [f"S_v{n}"]
+    assert cert["crosscheck"]["passed"]
+    assert reports[0] == reports[1]

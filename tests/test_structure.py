@@ -251,6 +251,28 @@ def test_primitive_idempotents_upper_triangular():
                 assert not any(alg.mul(idems[i], idems[j]))
 
 
+def test_primitive_idempotents_are_made_orthogonal():
+    # upper triangular 2x2 matrices in the basis (e11 + e12, e22, e12): the
+    # coset representatives e11 + e12 and e22 of the two simples are
+    # idempotent but not orthogonal, so each later idempotent is lifted
+    # inside (1 - earlier ones) A (1 - earlier ones)
+    skewed = [
+        Matrix(2, 2, [[F(1), F(1)], [F(0), F(0)]]),
+        Matrix(2, 2, [[F(0), F(0)], [F(0), F(1)]]),
+        Matrix(2, 2, [[F(0), F(1)], [F(0), F(0)]]),
+    ]
+
+    def coords(m):
+        return [m.data[0][0], m.data[1][1], m.data[0][1] - m.data[0][0]]
+
+    table = [[coords(skewed[i] * skewed[j]) for j in range(3)] for i in range(3)]
+    alg = StructureAlgebra(table, [F(1), F(1), F(-1)])
+    idems = primitive_orthogonal_idempotents(alg)
+    assert len(idems) == 2
+    assert [a + b for a, b in zip(*idems)] == alg.unit
+    assert not any(alg.mul(idems[0], idems[1])) and not any(alg.mul(idems[1], idems[0]))
+
+
 def test_hereditary_judgments():
     assert is_hereditary(upper_triangular_2())      # path algebra of A2
     assert is_hereditary(product_field(2))          # semisimple
