@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
 from .errors import CapExceeded, LimitExceeded, PreconditionError
 from .graph import closure, components
-from .knitting import ARQuiver, knit, nonzero_path_exists
+from .knitting import ARQuiver, knit
 from .linalg import Matrix, RowSpace, kernel_basis, rank
 from .modules import (
     Module,
@@ -142,15 +142,23 @@ def _convex_in_ind(arq, cut):
 
 
 def convexity_checks(arq, cut):
-    """Weak convexity, convexity in ind A, and acyclicity of a subquiver."""
+    """Weak convexity, convexity in ind A, and acyclicity of a subquiver.
+
+    A nonzero composite of radical maps runs from X to Y through M iff
+    rad(M, Y).rad(X, M) != 0: chains of radical maps X -> M span rad(X, M),
+    chains M -> Y lie in rad(M, Y), and composition is bilinear.  So weak
+    convexity is read from products of rad^1 rows.
+    """
     arq.require_modules("convexity checks")
     cut = set(cut)
+    rad1 = arq.rad1()
     weakly = not any(
-        nonzero_path_exists(arq, x, y, via=m)
+        any(c)
         for m in arq.names()
         if m not in cut
         for x in sorted(cut)
         for y in sorted(cut)
+        for c in arq.products(x, m, y, rad1[(m, y)].rows, rad1[(x, m)].rows)
     )
     return ConvexityResult(weakly, _convex_in_ind(arq, cut), not _cycle_inside(arq, cut))
 
@@ -589,14 +597,8 @@ def quotient_by_cut(alg, arq, cut, cap=10**6):
     arq_b = knit(b)
     lifted_names = []
     for m in lifted:
-        name = next(
-            (
-                n
-                for n, v in arq_b.vertices.items()
-                if v.dim_vector == m.dim_vector and is_isomorphic(v.module, m)
-            ),
-            None,
-        )
+        # a lifted module is indecomposable: End over B equals End over A
+        name, _iso = arq_b.find_vertex(m)
         if name is None:
             raise PreconditionError("lifted module is missing from the quotient quiver")
         lifted_names.append(name)

@@ -18,11 +18,9 @@ from .modules import (
     ModuleMap,
     almost_split_sequence,
     canonical_modules,
-    complement_projections,
     decompose_with_inclusions,
     end_radical_coords,
     find_isomorphism,
-    is_isomorphic,
     radical_submodule,
     translate,
 )
@@ -45,8 +43,6 @@ class ARVertex:
 class MeshRecord:
     tau: str
     middle: list            # [(vertex name, multiplicity)]
-    left_maps: dict         # name -> [ModuleMap tau -> piece]
-    right_maps: dict        # name -> [ModuleMap piece -> vertex]
 
 
 class ARQuiver:
@@ -233,22 +229,43 @@ class ARQuiver:
         out = {}
         for x in names:
             for y in names:
-                hs_xy = self.hom_space(x, y)
-                space = RowSpace(hs_xy.dim, field=self.alg.field)
+                space = RowSpace(self.hom_space(x, y).dim, field=self.alg.field)
                 for z in names:
-                    lspace = left[(z, y)]
-                    rspace = right[(x, z)]
-                    if lspace.dim == 0 or rspace.dim == 0:
-                        continue
-                    hs_zy = self.hom_space(z, y)
-                    hs_xz = self.hom_space(x, z)
-                    for lrow in lspace.rows:
-                        lmap = hs_zy.from_coords(lrow)
-                        for rrow in rspace.rows:
-                            rmap = hs_xz.from_coords(rrow)
-                            space.add(hs_xy.coords(lmap.compose(rmap)))
+                    for c in self.products(x, z, y, left[(z, y)].rows, right[(x, z)].rows):
+                        space.add(c)
                 out[(x, y)] = space
         return out
+
+    def products(self, x, z, y, left, right):
+        """Hom(X, Y) coordinates of g.f, for g over the rows ``left`` of
+        Hom(Z, Y) coordinates and f over the rows ``right`` of Hom(X, Z)
+        coordinates."""
+        if not left or not right:
+            return
+        hs_zy = self.hom_space(z, y)
+        hs_xz = self.hom_space(x, z)
+        hs_xy = self.hom_space(x, y)
+        rmaps = [hs_xz.from_coords(row) for row in right]
+        for row in left:
+            lmap = hs_zy.from_coords(row)
+            for rmap in rmaps:
+                yield hs_xy.coords(lmap.compose(rmap))
+
+    def find_vertex(self, module):
+        """(name, iso) for the first vertex whose module is isomorphic to
+        ``module``, with iso an isomorphism from the vertex module onto
+        ``module``; (None, None) when there is none.
+
+        One ``find_isomorphism`` per vertex of equal dimension vector.  Its
+        pair search is complete here: every vertex module is indecomposable,
+        so its endomorphism ring is local.
+        """
+        for n, v in self.vertices.items():
+            if v.dim_vector == module.dim_vector:
+                iso = find_isomorphism(v.module, module)
+                if iso is not None:
+                    return n, iso
+        return None, None
 
     def locate(self, module):
         """Vertex name of an identical module object, if registered."""
@@ -315,14 +332,12 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
             if space.dim == 0:
                 continue
             new_flag = flag or (zp == via and k >= 2)
-            hs_xzp = arq.hom_space(x, zp)
             for z in names:
                 if z not in permitted:
                     continue
                 r = rad1.get((zp, z))
                 if r is None or r.dim == 0:
                     continue
-                hs_zpz = arq.hom_space(zp, z)
                 hs_xz = arq.hom_space(x, z)
                 if hs_xz.dim == 0:
                     continue
@@ -331,11 +346,8 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
                 if target is None:
                     target = RowSpace(hs_xz.dim, field=field)
                     nxt[key] = target
-                for rrow in r.rows:
-                    rmap = hs_zpz.from_coords(rrow)
-                    for srow in space.rows:
-                        smap = hs_xzp.from_coords(srow)
-                        target.add(hs_xz.coords(rmap.compose(smap)))
+                for c in arq.products(x, zp, z, r.rows, space.rows):
+                    target.add(c)
         success_flags = (True,) if via is not None else (False, True)
         for fl in success_flags:
             sp = nxt.get((y, fl))
@@ -425,7 +437,9 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
     pending = deque()
 
     def get_or_add(module, canonical=None, is_proj=False, is_inj=False):
-        """The vertex of ``module``, registered under a new name if it has none.
+        """(name, iso): the vertex of ``module``, registered under a new name
+        if it has none, and an isomorphism from the vertex module onto
+        ``module`` (the identity for a module registered here).
 
         ``canonical`` names P_v or I_v.  Those are all registered first, so a
         later module that matches no vertex is neither projective nor
@@ -433,9 +447,9 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         """
         if module.total_dim == 0:
             raise PreconditionError("attempted to register the zero module")
-        for n, v in arq.vertices.items():
-            if v.dim_vector == module.dim_vector and is_isomorphic(v.module, module):
-                return n
+        name, iso = arq.find_vertex(module)
+        if name is not None:
+            return name, iso
         if module.total_dim > max_dim:
             raise LimitExceeded(
                 f"module of total dimension {module.total_dim} exceeds --max-dim {max_dim}",
@@ -448,12 +462,13 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         name = assign_name(module, canonical)
         arq.vertices[name] = ARVertex(name, module, is_proj, is_inj, module.dim_vector)
         pending.append(name)
-        return name
+        return name, ModuleMap.identity(module)
 
     for v in alg.quiver.vertices:
         p = cans[v][0]
         is_inj = any(
-            p.dim_vector == i.dim_vector and is_isomorphic(p, i) for _p, i, _s in cans.values()
+            p.dim_vector == i.dim_vector and find_isomorphism(p, i) is not None
+            for _p, i, _s in cans.values()
         )
         get_or_add(p, f"P_{v}", True, is_inj)
     # an injective isomorphic to a projective finds the projective's vertex
@@ -461,17 +476,10 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         get_or_add(cans[v][1], f"I_{v}", False, True)
 
     def record_arrow(src, tgt, fmap):
+        """Record an irreducible map src -> tgt, ``fmap`` read on src's vertex module."""
         self_key = (src, tgt)
         arq.arrows[self_key] = arq.arrows.get(self_key, 0) + 1
         arq.arrow_maps.setdefault(self_key, []).append(fmap)
-
-    def canonical_map(src_name, raw):
-        """Transport a map whose source is iso to a vertex module."""
-        canonical = arq.vertices[src_name].module
-        iso = find_isomorphism(canonical, raw.src)
-        if iso is None:
-            raise PreconditionError("failed to align a summand with its vertex module")
-        return raw.compose(iso)
 
     while pending:
         name = pending.popleft()
@@ -480,32 +488,19 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         if vert.is_projective:
             radp, incl = radical_submodule(module)
             if radp.total_dim:
-                pieces = decompose_with_inclusions(radp)
-                for piece, pinc in pieces:
-                    src = get_or_add(piece)
-                    record_arrow(src, name, canonical_map(src, incl.compose(pinc)))
+                for piece, pinc in decompose_with_inclusions(radp):
+                    src, iso = get_or_add(piece)
+                    record_arrow(src, name, incl.compose(pinc).compose(iso))
         else:
             seq = almost_split_sequence(module)
-            tau_name = get_or_add(seq.tau)
+            tau_name, _iso = get_or_add(seq.tau)
             arq.tau[name] = tau_name
-            tau_iso = find_isomorphism(arq.vertices[tau_name].module, seq.tau)
-            pieces = decompose_with_inclusions(seq.middle)
-            projections = complement_projections(seq.middle, [inc for _, inc in pieces])
             middle_counts = {}
-            left_maps = {}
-            right_maps = {}
-            for (piece, pinc), prj in zip(pieces, projections):
-                src = get_or_add(piece)
-                right = canonical_map(src, seq.right.compose(pinc))
-                record_arrow(src, name, right)
+            for piece, pinc in decompose_with_inclusions(seq.middle):
+                src, iso = get_or_add(piece)
+                record_arrow(src, name, seq.right.compose(pinc).compose(iso))
                 middle_counts[src] = middle_counts.get(src, 0) + 1
-                piece_iso = find_isomorphism(piece, arq.vertices[src].module)
-                left = piece_iso.compose(prj.compose(seq.left)).compose(tau_iso)
-                left_maps.setdefault(src, []).append(left)
-                right_maps.setdefault(src, []).append(right)
-            arq.meshes[name] = MeshRecord(
-                tau_name, sorted(middle_counts.items()), left_maps, right_maps
-            )
+            arq.meshes[name] = MeshRecord(tau_name, sorted(middle_counts.items()))
         if not vert.is_injective:
             ahead = translate(module, "backward")
             if ahead.total_dim:

@@ -591,25 +591,14 @@ def find_isomorphism(x, y):
 def is_isomorphic(x, y):
     """Exact isomorphism test.
 
-    A pair (f, g) of hom-basis elements with g.f invertible certifies an
-    isomorphism outright (split mono plus equal dimension vectors).  When
-    End(X) is local the pair search is also complete, so failure refutes;
-    otherwise both sides are decomposed and matched piecewise.
+    ``find_isomorphism`` certifies an isomorphism outright, and its failure
+    refutes one when End(X) is local; otherwise both sides are decomposed
+    and matched piecewise.
     """
-    if x is y:
-        return True
     if x.dim_vector != y.dim_vector:
         return False
-    if x.total_dim == 0:
+    if find_isomorphism(x, y) is not None:
         return True
-    fs = hom_basis(x, y)
-    gs = hom_basis(y, x)
-    if not fs or not gs:
-        return False
-    for f in fs:
-        for g in gs:
-            if g.compose(f).is_invertible():
-                return True
     ends = hom_basis(x, x)
     rad = end_radical_coords(x, ends)
     if len(ends) - len(rad) == 1:
@@ -731,47 +720,6 @@ def decompose(m):
         else:
             grouped.append([piece, 1])
     return [(p, k) for p, k in grouped]
-
-
-def complement_projections(m, inclusions):
-    """Projections inverting a family of inclusions that sum to an iso."""
-    field = m.field
-    projections = [dict() for _ in inclusions]
-    for v in m.alg.quiver.vertices:
-        widths = [inc.mats[v].ncols for inc in inclusions]
-        stacked = Matrix.zeros(m.dims[v], sum(widths), field)
-        col = 0
-        for inc in inclusions:
-            block = inc.mats[v]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    stacked.data[i][col + j] = block.data[i][j]
-            col += block.ncols
-        if stacked.nrows != stacked.ncols:
-            raise PreconditionError("inclusions do not sum to an isomorphism")
-        inv_cols = []
-        for i in range(stacked.nrows):
-            unit = [field.zero] * stacked.nrows
-            unit[i] = field.one
-            s = solve(stacked, unit)
-            if s is None:
-                raise PreconditionError("inclusions do not sum to an isomorphism")
-            inv_cols.append(s)
-        inverse = Matrix(
-            stacked.nrows,
-            stacked.nrows,
-            [[inv_cols[j][i] for j in range(stacked.nrows)] for i in range(stacked.nrows)],
-            field,
-        )
-        row = 0
-        for pi, inc in zip(projections, inclusions):
-            w = inc.mats[v].ncols
-            pi[v] = Matrix(w, m.dims[v], inverse.data[row : row + w], field)
-            row += w
-    return [
-        ModuleMap(m, inc.src, mats, check=False)
-        for inc, mats in zip(inclusions, projections)
-    ]
 
 
 # -- projective covers, translates, ext ------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -302,3 +303,43 @@ def test_projective_and_injective_flags_match_isomorphism_tests(text):
     for vert in arq.vertices.values():
         assert vert.is_projective == any(is_isomorphic(vert.module, p) for p, _i, _s in cans)
         assert vert.is_injective == any(is_isomorphic(vert.module, i) for _p, i, _s in cans)
+
+
+# sha256 prefixes of every arrow map's matrices and of every mesh's (tau,
+# middle), recorded from an earlier knit; another choice of the isomorphism
+# that carries a summand onto its vertex module changes the first digest
+PINNED_KNITS = {
+    "a2.alg": ("7dc65d09fe1556e0", "51c026d92c90e297"),
+    "a3_line.alg": ("179f0eb6f5288c8e", "611c9fcf3973336d"),
+    "b_a3.alg": ("e5a556708b4b23b1", "d4bd2ff56c48f96f"),
+    "cycle3_rad2.alg": ("2afab06e98e62ad0", "85b89bd585539ed6"),
+    "cycle4_rad2.alg": ("c5937fa52b1cd998", "c335b1f66bc6e801"),
+    "D4": ("c1841009ef7ede21", "9dd836c2b25b86c7"),
+    "SQUARE": ("0049c1214398fc18", "120225db6071c8bc"),
+}
+
+
+def _knit_digests(arq):
+    maps = hashlib.sha256()
+    for key in sorted(arq.arrow_maps):
+        for f in arq.arrow_maps[key]:
+            maps.update(repr(key).encode())
+            for v in arq.alg.quiver.vertices:
+                m = f.mats[v]
+                rows = ";".join(",".join(str(e) for e in row) for row in m.data)
+                maps.update(f"{m.nrows}x{m.ncols}:{rows}".encode())
+    meshes = repr(sorted((n, m.tau, m.middle) for n, m in arq.meshes.items()))
+    return maps.hexdigest()[:16], hashlib.sha256(meshes.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", list(PINNED_KNITS))
+def test_arrow_maps_and_meshes_are_pinned(label):
+    texts = {"D4": D4_TEXT, "SQUARE": SQUARE_TEXT}
+    text = texts[label] if label in texts else (FIXTURES / label).read_text()
+    arq = knit(build_basis(parse_presentation(text)))
+    for (s, t), maps in arq.arrow_maps.items():
+        assert len(maps) == arq.mult(s, t)
+        for f in maps:
+            assert f.src is arq.vertices[s].module
+            assert f.tgt is arq.vertices[t].module
+    assert _knit_digests(arq) == PINNED_KNITS[label]

@@ -32,6 +32,7 @@ from arquiver.modules import (
     socle_submodule,
     translate,
 )
+from tests.conftest import load_algebra
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,46 @@ def test_is_isomorphic_rescaled_projective(alg_a2):
     assert is_isomorphic(copy, p)
     iso = find_isomorphism(copy, p)
     assert iso is not None and iso.is_invertible()
+
+
+@pytest.fixture(scope="module")
+def pencils():
+    """Kronecker modules Q --(1, lam)--> Q for lam = 0..3: indecomposable,
+    with no nonzero map between two of them."""
+    alg = load_algebra("kronecker.alg")
+    one = Matrix(1, 1, [[Fraction(1)]])
+    return [
+        Module(alg, {"a": 1, "b": 1}, {"alpha": one, "beta": Matrix(1, 1, [[Fraction(lam)]])})
+        for lam in range(4)
+    ]
+
+
+def test_is_isomorphic_matches_swapped_summands(pencils):
+    r0, r1, r2, _r3 = pencils
+    x, _, _ = direct_sum([r0, r1])
+    y, _, _ = direct_sum([r1, r0])
+    z, _, _ = direct_sum([r0, r2])
+    # no single pair of hom-basis maps composes to an automorphism, so the
+    # answer comes from decomposing and matching the summands
+    assert find_isomorphism(x, y) is None
+    assert is_isomorphic(x, y)
+    assert not is_isomorphic(x, z)
+
+
+def test_is_isomorphic_decomposable_against_indecomposable(alg_a2):
+    p = projective_module(alg_a2, "a")
+    split, _, _ = direct_sum([simple_module(alg_a2, "a"), simple_module(alg_a2, "b")])
+    assert split.dim_vector == p.dim_vector
+    assert not is_isomorphic(split, p)
+    assert not is_isomorphic(p, split)
+
+
+def test_is_isomorphic_without_maps_between(pencils):
+    r0, r1, r2, r3 = pencils
+    x, _, _ = direct_sum([r0, r1])
+    y, _, _ = direct_sum([r2, r3])
+    assert hom_basis(x, y) == [] and hom_basis(y, x) == []
+    assert not is_isomorphic(x, y)
 
 
 def test_decompose_indecomposable(c4):
