@@ -10,6 +10,7 @@ from .cuts import (
     hom_tau_test,
     is_cut,
     is_slice_section,
+    iter_cuts,
     quotient_by_cut,
     tilting_crosscheck,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "is_cut",
     "is_isomorphic",
     "is_slice_section",
+    "iter_cuts",
     "knit",
     "min_presentation",
     "nonzero_path_exists",

@@ -6,6 +6,7 @@ limit.  Diagnostics go to stderr, reports to stdout or --out.
 """
 
 import argparse
+import re
 import sys
 
 from .algebra import build_basis, parse_presentation
@@ -60,6 +61,19 @@ def _load_quiver(path, max_vertices, max_dim):
     return None, parse_translation_quiver(text)
 
 
+def _vertex_names(arq, text):
+    """The vertex names of a ``--modules`` list.
+
+    Commas inside braces belong to a name, as in ``M{1,1,0,1}#1``; only the
+    commas outside braces separate names.
+    """
+    names = [n.strip() for n in re.split(r",(?![^{]*\})", text) if n.strip()]
+    unknown = [n for n in names if n not in arq.vertices]
+    if unknown:
+        raise InputSyntaxError(f"unknown module names: {', '.join(unknown)}")
+    return names
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="arquiver",
@@ -102,7 +116,9 @@ def _build_parser():
     tilted_sub = p_tilted.add_subparsers(dest="subcommand", required=True)
     p_cert = tilted_sub.add_parser("certify", help="decide tiltedness")
     p_cert.add_argument("file")
-    p_cert.add_argument("--cap", type=int, default=10**6)
+    p_cert.add_argument(
+        "--cap", type=int, default=10**6, help="node cap of the walk over hom-vanishing cuts"
+    )
     p_cert.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p_cert.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
 
@@ -142,10 +158,7 @@ def _run(args):
 
     if args.command == "cut" and args.subcommand == "check":
         _alg, arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
-        names = [n.strip() for n in args.modules.split(",") if n.strip()]
-        unknown = [n for n in names if n not in arq.vertices]
-        if unknown:
-            raise InputSyntaxError(f"unknown module names: {', '.join(unknown)}")
+        names = _vertex_names(arq, args.modules)
         analysis = cut_analysis(arq, names)
         _emit(render_report(analysis), None)
         return EXIT_OK if analysis["is_cut"] else EXIT_NEGATIVE
@@ -172,10 +185,7 @@ def _run(args):
     if args.command == "quotient":
         alg = build_basis(parse_presentation(_read(args.file)))
         arq = knit(alg, max_vertices=args.max_vertices, max_dim=args.max_dim)
-        names = [n.strip() for n in args.modules.split(",") if n.strip()]
-        unknown = [n for n in names if n not in arq.vertices]
-        if unknown:
-            raise InputSyntaxError(f"unknown module names: {', '.join(unknown)}")
+        names = _vertex_names(arq, args.modules)
         result = quotient_by_cut(alg, arq, names)
         report = {
             "annihilator": {

@@ -3,13 +3,15 @@
 A cut is a full subquiver where, along every arrow X -> Y, exactly one of
 {Y, tau Y} and exactly one of {X, tau^- X} meets the subquiver.  An
 algebra is certified tilted by exhibiting a faithful cut whose forward
-Hom(X, tau Y) table vanishes; exhausting the cut enumeration refutes.
+Hom(X, tau Y) table vanishes.  The search walks only the hom-vanishing
+cuts and stops at the first faithful one; a walk that ends without one
+refutes.
 """
 
 from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
-from .errors import CapExceeded, LimitExceeded, PreconditionError
+from .errors import CapExceeded, InternalError, LimitExceeded, PreconditionError
 from .graph import closure, components
 from .knitting import ARQuiver, knit
 from .linalg import Matrix, RowSpace, kernel_basis, rank
@@ -19,6 +21,7 @@ from .modules import (
     direct_sum,
     ext1_dim,
     is_isomorphic,
+    is_sincere,
     pdim_le_1,
     projective_module,
     sincere_faithful,
@@ -77,6 +80,16 @@ class HomTauResult:
     all_zero: bool
 
 
+def _hom_tau_dims(arq, inv, x, y):
+    """(dim Hom(X, tau Y), dim Hom(tau^- X, Y)), with ``inv`` = ``arq.tau_inv``."""
+    ty = arq.tau.get(y)
+    tx = inv.get(x)
+    return (
+        arq.hom_dim(x, ty) if ty is not None else 0,
+        arq.hom_dim(tx, y) if tx is not None else 0,
+    )
+
+
 def hom_tau_test(arq, cut):
     arq.require_modules("the Hom(X, tau Y) test")
     cut = sorted(set(cut))
@@ -85,14 +98,21 @@ def hom_tau_test(arq, cut):
     inv = arq.tau_inv
     for x in cut:
         for y in cut:
-            ty = arq.tau.get(y)
-            d = arq.hom_space(x, ty).dim if ty is not None else 0
+            d, d2 = _hom_tau_dims(arq, inv, x, y)
             fwd.append([x, y, d])
-            tx = inv.get(x)
-            d2 = arq.hom_space(tx, y).dim if tx is not None else 0
             bwd.append([x, y, d2])
     all_zero = all(t[2] == 0 for t in fwd) and all(t[2] == 0 for t in bwd)
     return HomTauResult(fwd, bwd, all_zero)
+
+
+def hom_tau_conflict(arq):
+    """``conflict(x, y)`` for ``iter_cuts``: whether X and Y (possibly equal)
+    cannot lie in one hom-vanishing cut, that is, whether one of
+    Hom(X, tau Y), Hom(tau^- X, Y), Hom(Y, tau X) and Hom(tau^- Y, X) is
+    nonzero."""
+    arq.require_modules("the Hom(X, tau Y) test")
+    inv = arq.tau_inv
+    return lambda x, y: any(_hom_tau_dims(arq, inv, x, y) + _hom_tau_dims(arq, inv, y, x))
 
 
 @dataclass
@@ -136,9 +156,11 @@ def _convex(cut, vertices, edges):
 
 def _convex_in_ind(arq, cut):
     """Convexity in ind A, read from the support of rad^1: the pairs (X, Y)
-    with rad(X, Y) != 0."""
-    support = [pair for pair, space in arq.rad1().items() if space.dim > 0]
-    return _convex(cut, arq.names(), support)
+    with rad(X, Y) != 0.  For X != Y, rad(X, Y) = Hom(X, Y), and the pairs
+    X = Y add no path, so only Hom dimensions are read."""
+    names = arq.names()
+    support = [(x, y) for x in names for y in names if x != y and arq.hom_dim(x, y)]
+    return _convex(cut, names, support)
 
 
 def convexity_checks(arq, cut):
@@ -151,14 +173,13 @@ def convexity_checks(arq, cut):
     """
     arq.require_modules("convexity checks")
     cut = set(cut)
-    rad1 = arq.rad1()
     weakly = not any(
         any(c)
         for m in arq.names()
         if m not in cut
         for x in sorted(cut)
         for y in sorted(cut)
-        for c in arq.products(x, m, y, rad1[(m, y)].rows, rad1[(x, m)].rows)
+        for c in arq.products(x, m, y, arq.rad(m, y).rows, arq.rad(x, m).rows)
     )
     return ConvexityResult(weakly, _convex_in_ind(arq, cut), not _cycle_inside(arq, cut))
 
@@ -216,9 +237,7 @@ def is_slice_section(arq, cut):
     cut_ok, _ = is_cut(arq, cut)
     if not cut_ok:
         return SliceSectionResult(False, section)
-    mods = [arq.module_of(n) for n in sorted(cut)]
-    sincere, _faithful = sincere_faithful(mods)
-    if not sincere:
+    if not is_sincere([arq.module_of(n) for n in sorted(cut)]):
         return SliceSectionResult(False, section)
     return SliceSectionResult(_convex_in_ind(arq, cut), section)
 
@@ -227,9 +246,7 @@ def slice_by_definition(arq, cut):
     """The literal slice axioms, used as an independent oracle."""
     arq.require_modules("the literal slice definition")
     cut = set(cut)
-    mods = [arq.module_of(n) for n in sorted(cut)]
-    sincere, _ = sincere_faithful(mods)
-    if not sincere:
+    if not is_sincere([arq.module_of(n) for n in sorted(cut)]):
         return False
     if not _convex_in_ind(arq, cut):
         return False
@@ -244,13 +261,23 @@ def slice_by_definition(arq, cut):
     return True
 
 
-def enumerate_cuts(arq, cap=10**6):
-    """All nonempty cuts by backtracking with arrow-constraint pruning.
+def iter_cuts(arq, cap=10**6, conflict=None):
+    """Nonempty cuts, one at a time, by backtracking with arrow-constraint
+    pruning; the vertices are decided in ``arq.names()`` order, chosen
+    before left out.
 
     Each cut condition is compiled to a triple ``(guard, a, b)`` of vertex
     indices, checked at the depth of its last participant: when ``guard``
     is chosen, exactly one of ``a`` and ``b`` must be.  A zero translate has
     ``b = -1``, which reads the trailing always-False slot of ``chosen``.
+
+    ``conflict(x, y)``, a symmetric predicate on vertex names, forbids X and
+    Y (possibly equal) in one cut: the walk does not choose a vertex that
+    conflicts with itself or with one already chosen, and asks about each
+    pair at most once.  A pairwise property such as hom vanishing
+    (``hom_tau_conflict``) then prunes exactly the subtrees that hold no
+    cut with the property, and the cuts that have it come out in the order
+    of the full walk.  More than ``cap`` nodes raise ``CapExceeded``.
     """
     names = arq.names()
     index = {n: i for i, n in enumerate(names)}
@@ -264,9 +291,18 @@ def enumerate_cuts(arq, cap=10**6):
                 cond = (index[guard], index[other], -1 if t is None else index[t])
                 by_depth[max(cond)].append(cond)
 
-    results = []
     chosen = [False] * (len(names) + 1)
+    picked = []
+    table = {}
     nodes = 0
+
+    def clashes(depth):
+        for j in (depth, *picked):
+            if (depth, j) not in table:
+                table[(depth, j)] = conflict(names[depth], names[j])
+            if table[(depth, j)]:
+                return True
+        return False
 
     def walk(depth):
         nonlocal nodes
@@ -274,9 +310,8 @@ def enumerate_cuts(arq, cap=10**6):
         if nodes > cap:
             raise CapExceeded(f"cut enumeration exceeded the cap of {cap} nodes")
         if depth == len(names):
-            cut = frozenset(n for n, c in zip(names, chosen) if c)
-            if cut:
-                results.append(cut)
+            if picked:
+                yield frozenset(names[i] for i in picked)
             return
         conds = by_depth[depth]
         for value in (True, False):
@@ -285,10 +320,19 @@ def enumerate_cuts(arq, cap=10**6):
                 if chosen[guard] and chosen[a] + chosen[b] != 1:
                     break
             else:
-                walk(depth + 1)
+                if not value:
+                    yield from walk(depth + 1)
+                elif conflict is None or not clashes(depth):
+                    picked.append(depth)
+                    yield from walk(depth + 1)
+                    picked.pop()
 
-    walk(0)
-    return results
+    yield from walk(0)
+
+
+def enumerate_cuts(arq, cap=10**6):
+    """All nonempty cuts, as a list, in the order of ``iter_cuts``."""
+    return list(iter_cuts(arq, cap))
 
 
 @dataclass
@@ -325,18 +369,18 @@ def _end_hereditary(arq, cut):
     The cut's modules are pairwise non-isomorphic indecomposables, so the
     summand projections e_X are a complete set of primitive orthogonal
     idempotents of End(T).  rad End(T) is rad End(X) on the diagonal plus
-    all of Hom(X, Y) for X != Y, which ``ARQuiver.rad1`` holds, and rad^2
+    all of Hom(X, Y) for X != Y, which ``ARQuiver.rad`` gives, and rad^2
     End(T) is the span of rad(Z, Y) . rad(X, Z) over the summands Z.
     End(T) is hereditary iff rad is projective, iff the projective cover of
     rad has the dimension of rad (the count of ``structure.is_hereditary``):
     e_X (rad/rad^2) is the sum of rad(Y, X)/rad^2(Y, X) over Y and End(T) e_X
     the sum of Hom(X, Y) over Y.
     """
-    rad = arq.rad1()
+    rad = {(x, y): arq.rad(x, y) for x in cut for y in cut}
     rad2 = arq.compose_levels(rad, rad, cut)
     cover = sum(
         sum(rad[(y, x)].dim - rad2[(y, x)].dim for y in cut)
-        * sum(arq.hom_space(x, y).dim for y in cut)
+        * sum(arq.hom_dim(x, y) for y in cut)
         for x in cut
     )
     return cover == sum(rad[(x, y)].dim for x in cut for y in cut)
@@ -408,11 +452,17 @@ def _sub_presentation(pres, vertices):
 
 
 def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
-    """Decide tiltedness by exhaustive cut enumeration (the iff criterion).
+    """Decide tiltedness by the iff criterion: A is tilted iff its AR quiver
+    has a faithful cut on which Hom(X, tau Y) vanishes.
 
-    CERTIFIED_TILTED comes with a faithful hom-vanishing witness cut that
-    is confirmed to be a slice and cross-checked as a tilting module;
-    REFUTED_BY_ENUMERATION is only issued after full exhaustion.
+    The search walks the hom-vanishing cuts (``iter_cuts`` pruned by
+    ``hom_tau_conflict``, so ``cap`` counts nodes of that walk) and stops at
+    the first faithful one.  CERTIFIED_TILTED comes with that witness,
+    confirmed to be a slice and cross-checked as a tilting module;
+    REFUTED_BY_ENUMERATION is only issued when the walk ends without one.
+    ``cuts_examined`` counts the hom-vanishing cuts walked, up to and
+    including the witness; ``sincere_qualifying_cuts`` counts those among
+    them that are sincere but not faithful.
     """
     arrows = [(a.source, a.target) for a in alg.quiver.arrows.values()]
     comps = components(alg.quiver.vertices, arrows)
@@ -439,15 +489,21 @@ def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
     try:
         if arq is None:
             arq = knit(alg, **kwargs)
-        cuts = enumerate_cuts(arq, cap=cap)
+        return _first_witness(arq, cap)
     except (LimitExceeded, CapExceeded) as exc:
         return Certificate(verdict="NOT_CERTIFIED", limit=str(exc))
 
-    sincere_only = 0
-    for cut in cuts:
+
+def _first_witness(arq, cap):
+    """The certificate of ``certify_tilted`` from a knitted quiver."""
+    examined = sincere_only = 0
+    for cut in iter_cuts(arq, cap, hom_tau_conflict(arq)):
+        examined += 1
         ht = hom_tau_test(arq, cut)
         if not ht.all_zero:
-            continue
+            raise InternalError(
+                "internal inconsistency: a cut of the hom-vanishing walk fails the Hom(X, tau Y) test"
+            )
         mods = [arq.module_of(n) for n in sorted(cut)]
         sincere, faithful = sincere_faithful(mods)
         if not faithful:
@@ -456,12 +512,12 @@ def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
             continue
         ss = is_slice_section(arq, cut)
         if not ss.slice:
-            raise PreconditionError(
+            raise InternalError(
                 "internal inconsistency: a faithful hom-vanishing cut is not a slice"
             )
         cc = tilting_crosscheck(arq, cut)
         if not cc.passed:
-            raise PreconditionError(
+            raise InternalError(
                 "internal inconsistency: certified witness fails the tilting cross-check"
             )
         return Certificate(
@@ -474,12 +530,12 @@ def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
             faithful=faithful,
             slice_confirmed=True,
             crosscheck=cc,
-            cuts_examined=len(cuts),
+            cuts_examined=examined,
             sincere_qualifying_cuts=sincere_only,
         )
     return Certificate(
         verdict="REFUTED_BY_ENUMERATION",
-        cuts_examined=len(cuts),
+        cuts_examined=examined,
         sincere_qualifying_cuts=sincere_only,
     )
 
@@ -663,7 +719,6 @@ def cut_analysis(arq, cut):
         return out
     ht = hom_tau_test(arq, cut)
     mods = [arq.module_of(n) for n in sorted(set(cut))]
-    sincere, faithful = sincere_faithful(mods)
     ann = annihilator(mods)
     conv = convexity_checks(arq, cut)
     ss = is_slice_section(arq, cut)
@@ -672,8 +727,8 @@ def cut_analysis(arq, cut):
         "backward": ht.backward,
         "all_zero": ht.all_zero,
     }
-    out["sincere"] = sincere
-    out["faithful"] = faithful
+    out["sincere"] = is_sincere(mods)
+    out["faithful"] = not ann
     out["annihilator"] = {
         "dimension": len(ann),
         "generators": [arq.alg.element_label(g) for g in ann],

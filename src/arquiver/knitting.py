@@ -10,6 +10,7 @@ knitting would fail.
 
 from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import InputSyntaxError, LimitExceeded, PreconditionError
 from .linalg import RowSpace
@@ -59,7 +60,9 @@ class ARQuiver:
         self.arrow_maps = {}
         self._hom_spaces = {}
         self._end_rad_dims = {}
-        self._rad1 = None
+        self._mesh_order = None
+        self._hom_dims = {}
+        self._rad1 = {}
         self._rad_powers = None
 
     # -- structure access --------------------------------------------------
@@ -162,35 +165,91 @@ class ARQuiver:
             self._end_rad_dims[name] = end_radical_coords(self.module_of(name), hs.basis)
         return self._end_rad_dims[name]
 
+    def _order_and_predecessors(self):
+        """(order, into): ``into[y]`` lists (z, mult(Z -> Y)) over the arrows
+        into Y, and ``order`` runs every arrow and every tau edge tau Y -> Y
+        forward, or is None when those edges form a cycle."""
+        if self._mesh_order is None:
+            into = {y: [] for y in self.vertices}
+            for (z, y), m in self.arrows.items():
+                into[y].append((z, m))
+            graph = {y: [z for z, _m in into[y]] for y in into}
+            for y, ty in self.tau.items():
+                graph[y].append(ty)
+            try:
+                order = list(TopologicalSorter(graph).static_order())
+            except CycleError:
+                order = None
+            self._mesh_order = (order, into)
+        return self._mesh_order
+
+    def hom_dims(self, x):
+        """Dict y -> dim Hom(X, Y) read off the meshes, or None.
+
+        Preconditions: the quiver is complete, with module data, and its
+        arrows together with the tau edges tau Y -> Y form an acyclic graph,
+        as for a representation-directed algebra.  Otherwise the answer is
+        None, and ``hom_space`` has to do the linear algebra (the rad^2 = 0
+        cycles, whose components are tau-periodic).  With h = dim Hom(X, -),
+        taken in an order along those edges,
+
+            h(Y) = sum over arrows Z -> Y of mult(Z -> Y) h(Z) - h(tau Y) + [Y = X],
+
+        with no tau term for Y projective.  Hom(X, -) is left exact on the
+        almost split sequence ending at Y (on rad Y -> Y for Y projective),
+        and the image of its last map is rad(X, Y), which is all of
+        Hom(X, Y) for Y != X and has codimension 1 in End(X), because the
+        knit certifies End/rad = k at every vertex.  See Ringel, Tame
+        algebras and integral quadratic forms, LNM 1099, 2.4.
+        """
+        if not self.complete:
+            return None
+        if x not in self._hom_dims:
+            order, into = self._order_and_predecessors()
+            if order is None:
+                return None
+            h = {}
+            for y in order:
+                d = sum(m * h[z] for z, m in into[y]) + (y == x)
+                h[y] = d - h[self.tau[y]] if y in self.tau else d
+            self._hom_dims[x] = h
+        return self._hom_dims[x]
+
+    def hom_dim(self, x, y):
+        """dim Hom(X, Y): from the meshes where ``hom_dims`` applies, else
+        from ``hom_space``."""
+        dims = self.hom_dims(x)
+        return dims[y] if dims is not None else self.hom_space(x, y).dim
+
     def harada_sai_bound(self):
         b = max((v.module.total_dim for v in self.vertices.values() if v.module), default=1)
         return 2**b - 1
 
     # -- radical filtration ---------------------------------------------------
 
-    def rad1(self):
-        """Dict (x, y) -> RowSpace of rad(X, Y) coordinates, the first level.
+    def rad(self, x, y):
+        """RowSpace of rad(X, Y) in Hom(X, Y) coordinates, filled one pair at
+        a time.
 
         rad(X, X) is rad End(X); between distinct vertices every map is radical.
         """
         self.require_complete("the radical filtration")
-        if self._rad1 is None:
-            level1 = {}
-            for x in self.names():
-                for y in self.names():
-                    hs = self.hom_space(x, y)
-                    space = RowSpace(hs.dim, field=self.alg.field)
-                    if x == y:
-                        for r in self.end_radical(x):
-                            space.add(r)
-                    else:
-                        for i in range(hs.dim):
-                            unit = [self.alg.field.zero] * hs.dim
-                            unit[i] = self.alg.field.one
-                            space.add(unit)
-                    level1[(x, y)] = space
-            self._rad1 = level1
-        return self._rad1
+        key = (x, y)
+        if key not in self._rad1:
+            field = self.alg.field
+            if x == y:
+                space = RowSpace(self.hom_space(x, x).dim, self.end_radical(x), field=field)
+            else:
+                d = self.hom_dim(x, y)
+                units = [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+                space = RowSpace(d, units, field=field)
+            self._rad1[key] = space
+        return self._rad1[key]
+
+    def rad1(self):
+        """Dict (x, y) -> RowSpace of rad(X, Y) coordinates over all pairs,
+        the first level of the radical filtration."""
+        return {(x, y): self.rad(x, y) for x in self.names() for y in self.names()}
 
     def rad_powers(self):
         """List of dicts (x, y) -> RowSpace of rad^n coordinates, n >= 1.
@@ -314,7 +373,6 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
     if x not in arq.vertices or y not in arq.vertices:
         raise PreconditionError("endpoints are not vertices of the quiver")
     permitted = set(names) if allowed is None else set(allowed) | {x, y}
-    rad1 = arq.rad1()
     field = arq.alg.field
 
     def empty_state():
@@ -335,8 +393,8 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
             for z in names:
                 if z not in permitted:
                     continue
-                r = rad1.get((zp, z))
-                if r is None or r.dim == 0:
+                r = arq.rad(zp, z)
+                if r.dim == 0:
                     continue
                 hs_xz = arq.hom_space(x, z)
                 if hs_xz.dim == 0:

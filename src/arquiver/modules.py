@@ -890,10 +890,10 @@ def ext1_dim(x, y):
 # -- annihilators and friends ----------------------------------------------
 
 
-def annihilator(mods):
-    """Basis of the two-sided ideal ann = {a : a.M = 0 for all M}."""
-    if not mods:
-        raise PreconditionError("annihilator of an empty list")
+def _action_rows(mods):
+    """The matrix whose kernel is {a : a.M = 0 for every M in ``mods``}: one
+    row per module, vertex pair (w, u) and matrix entry, over the paths
+    w -> u of the algebra's basis."""
     alg = mods[0].alg
     field = alg.field
     rows = []
@@ -916,8 +916,16 @@ def annihilator(mods):
                             row[k] = acts[k].data[i][j]
                         if any(row):
                             rows.append(row)
-    mat = Matrix(len(rows), alg.dim, rows, field)
-    gens = kernel_basis(mat)
+    return Matrix(len(rows), alg.dim, rows, field)
+
+
+def annihilator(mods):
+    """Basis of the two-sided ideal ann = {a : a.M = 0 for all M}."""
+    if not mods:
+        raise PreconditionError("annihilator of an empty list")
+    alg = mods[0].alg
+    field = alg.field
+    gens = kernel_basis(_action_rows(mods))
     # two-sidedness check: the kernel must be closed under both actions
     span = RowSpace(alg.dim, gens, field=field)
     for g in gens:
@@ -928,14 +936,21 @@ def annihilator(mods):
     return gens
 
 
-def sincere_faithful(mods):
-    """(sincere, faithful) for the family of modules."""
+def is_sincere(mods):
+    """Whether every vertex of the algebra is in the support of some module."""
     if not mods:
         raise PreconditionError("empty module list")
-    alg = mods[0].alg
-    sincere = all(any(m.dims[v] for m in mods) for v in alg.quiver.vertices)
-    faithful = not annihilator(mods)
-    return sincere, faithful
+    return all(any(m.dims[v] for m in mods) for v in mods[0].alg.quiver.vertices)
+
+
+def sincere_faithful(mods):
+    """(sincere, faithful) for the family of modules.
+
+    Faithful means ann = 0, that is, the action rows have full column rank;
+    no annihilator is built.
+    """
+    sincere = is_sincere(mods)
+    return sincere, rank(_action_rows(mods)) == mods[0].alg.dim
 
 
 def pdim_le_1(m):

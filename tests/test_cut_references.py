@@ -4,26 +4,35 @@
 ran before its conditions were compiled to vertex indices; it also reports
 how many nodes it visited.  ``reference_convex_in_ind`` reads convexity in
 ind A off the first level of the full radical filtration, as the slice
-check did before it read the cached rad^1 alone.
+check did before it read the cached rad^1 alone.  The walk pruned by
+Hom(X, tau Y) conflicts is judged by ``reference_hom_vanishing``, which
+solves Hom spaces; the rank test of faithfulness by ``annihilator``; and the
+Hom dimensions read off the meshes by ``hom_space``.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arquiver import cuts
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.cuts import (
     ConvexityResult,
     _cycle_inside,
+    certify_tilted,
     convexity_checks,
     enumerate_cuts,
+    hom_tau_conflict,
     is_cut,
     is_slice_section,
+    iter_cuts,
     slice_by_definition,
 )
-from arquiver.errors import CapExceeded
+from arquiver.errors import CapExceeded, InternalError
 from arquiver.formats import parse_translation_quiver
 from arquiver.knitting import knit, nonzero_path_exists
-from arquiver.modules import sincere_faithful
+from arquiver.modules import annihilator, sincere_faithful
 from tests.conftest import FIXTURES
 from tests.test_knitting import D4_TEXT, SQUARE_TEXT
 
@@ -61,6 +70,18 @@ TEXTS.update({"D4": D4_TEXT, "SQUARE": SQUARE_TEXT, "A5": A5_TEXT, "D5": D5_TEXT
 # over the cuts of D5 even with shared search results, so D5 is compared on
 # the slice check and convexity in ind A only.
 TRIPLE_LABELS = FIXTURE_FILES + ["D4", "SQUARE", "A5"]
+
+
+def dynkin_text(kind, n, orientation):
+    """A Dynkin quiver over Q on vertices v1..vn along the chain, with the
+    branch v_{n-2} - v_n (D) or v3 - v_n (E); digit 1 of ``orientation``
+    reverses the arrow of the edge in its place."""
+    edges = [(i, i + 1) for i in range(1, n - 1)] + [({"A": n - 1, "D": n - 2, "E": 3}[kind], n)]
+    lines = ["field Q"] + [f"vertex v{i}" for i in range(1, n + 1)]
+    for k, ((a, b), bit) in enumerate(zip(edges, orientation), start=1):
+        a, b = (b, a) if bit == "1" else (a, b)
+        lines.append(f"arrow a{k}: v{a} -> v{b}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +141,18 @@ def reference_walk(arq, cap=10**6):
 
     walk(0)
     return results, nodes
+
+
+def reference_hom_vanishing(arq, cut):
+    """Whether Hom(X, tau Y) and Hom(tau^- X, Y) vanish on the cut, by
+    linear algebra."""
+    inv = arq.tau_inv
+    return not any(
+        (y in arq.tau and arq.hom_space(x, arq.tau[y]).dim)
+        or (x in inv and arq.hom_space(inv[x], y).dim)
+        for x in cut
+        for y in cut
+    )
 
 
 def reference_convex_in_ind(arq, cut):
@@ -221,7 +254,7 @@ def test_slice_check_leaves_the_filtration_unbuilt():
     assert is_slice_section(arq, witness).slice
     assert slice_by_definition(arq, witness)
     assert arq._rad_powers is None
-    assert arq._rad1 is not None
+    assert not arq._rad1
 
 
 @pytest.mark.parametrize("label", TRIPLE_LABELS)
@@ -239,3 +272,81 @@ def test_convexity_checks_matches_reference(quivers, label):
     arq = quivers[label]
     for cut in enumerate_cuts(arq):
         assert convexity_checks(arq, cut) == reference_convexity_checks(arq, cut, search)
+
+
+@pytest.mark.parametrize("label", list(TEXTS))
+def test_pruned_walk_yields_the_hom_vanishing_cuts(quivers, label):
+    arq = quivers[label]
+    expected = [c for c in reference_walk(arq)[0] if reference_hom_vanishing(arq, c)]
+    assert expected
+    assert list(iter_cuts(arq, conflict=hom_tau_conflict(arq))) == expected
+
+
+@pytest.mark.parametrize("label", list(TEXTS) + ["tube"])
+def test_pruned_walk_drops_exactly_the_conflicting_cuts(quivers, tube_text, label):
+    # a singleton in ``bad`` makes a vertex conflict with itself
+    arq = parse_translation_quiver(tube_text) if label == "tube" else quivers[label]
+    rng = random.Random(label)
+    bad = {frozenset(rng.sample(arq.names(), rng.choice((1, 2)))) for _ in range(3)}
+    expected = [
+        c for c in reference_walk(arq)[0] if not any(frozenset((x, y)) in bad for x in c for y in c)
+    ]
+    assert list(iter_cuts(arq, conflict=lambda x, y: frozenset((x, y)) in bad)) == expected
+
+
+def test_certify_refuses_a_cut_the_pruning_let_through(quivers, monkeypatch):
+    monkeypatch.setattr(cuts, "hom_tau_conflict", lambda arq: lambda x, y: False)
+    arq = quivers["cycle4_rad2.alg"]
+    with pytest.raises(InternalError, match="fails the Hom"):
+        certify_tilted(arq.alg, arq=arq)
+
+
+def test_rank_test_agrees_with_the_annihilator(quivers):
+    verdicts = set()
+    for label in TEXTS:
+        arq = quivers[label]
+        for cut in reference_walk(arq)[0]:
+            mods = [arq.module_of(n) for n in sorted(cut)]
+            faithful = sincere_faithful(mods)[1]
+            assert faithful == (not annihilator(mods))
+            verdicts.add(faithful)
+    assert verdicts == {True, False}
+
+
+def assert_hom_dims_match(arq):
+    for x in arq.names():
+        dims = arq.hom_dims(x)
+        assert dims is not None
+        assert dims == {y: arq.hom_space(x, y).dim for y in arq.names()}
+
+
+@pytest.mark.parametrize("label", [t for t in TEXTS if "cycle" not in t])
+def test_hom_dims_match_hom_spaces(quivers, label):
+    assert_hom_dims_match(quivers[label])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from("AD"), st.data())
+def test_hom_dims_match_hom_spaces_on_dynkin_orientations(kind, data):
+    n = data.draw(st.integers(2 if kind == "A" else 4, 6), label="n")
+    orientation = data.draw(st.text("01", min_size=n - 1, max_size=n - 1), label="orientation")
+    assert_hom_dims_match(knit(build_basis(parse_presentation(dynkin_text(kind, n, orientation)))))
+
+
+@pytest.mark.parametrize("label", ["cycle3_rad2.alg", "cycle4_rad2.alg"])
+def test_hom_dims_refuse_a_cyclic_quiver(quivers, label):
+    arq = quivers[label]
+    assert all(arq.hom_dims(x) is None for x in arq.names())
+
+
+@pytest.mark.parametrize("kind, n, orientation", [("D", 8, "0100010"), ("E", 7, "000111")])
+def test_dynkin_certifies_at_a_checked_witness(kind, n, orientation):
+    alg = build_basis(parse_presentation(dynkin_text(kind, n, orientation)))
+    arq = knit(alg)
+    cert = certify_tilted(alg, arq=arq)
+    assert cert.verdict == "CERTIFIED_TILTED"
+    witness = cert.witness
+    assert is_cut(arq, witness)[0]
+    assert reference_hom_vanishing(arq, witness)
+    assert annihilator([arq.module_of(n) for n in witness]) == []
+    assert slice_by_definition(arq, witness)

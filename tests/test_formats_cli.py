@@ -250,6 +250,36 @@ def test_cli_quotient_rejects_non_cut(capsys):
     assert "hypothesis" in captured.err
 
 
+D4_CUT = ["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
+
+
+def _d4_file(tmp_path):
+    from tests.test_knitting import D4_TEXT
+
+    path = tmp_path / "d4.alg"
+    path.write_text(D4_TEXT)
+    return str(path)
+
+
+def test_cli_cut_check_takes_names_with_commas(tmp_path, capsys):
+    # knit names M{d1,...}#k hold commas; only commas outside braces split
+    rc = main(["cut", "check", _d4_file(tmp_path), "--modules", ",".join(D4_CUT)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["cut"] == D4_CUT
+    assert out["is_cut"] is True
+    assert out["hom_tau"]["all_zero"] is True
+
+
+def test_cli_quotient_takes_names_with_commas(tmp_path, capsys):
+    rc = main(["quotient", _d4_file(tmp_path), "--modules", " , ".join(reversed(D4_CUT))])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(out["lifted_cut"]) == len(D4_CUT)
+    assert out["delta_is_cut"] is True
+    assert out["certificate"]["verdict"] == "CERTIFIED_TILTED"
+
+
 def test_cli_cut_check_abstract_tube(capsys):
     rc = main(
         [
