@@ -20,7 +20,7 @@ from .modules import (
     annihilator,
     direct_sum,
     ext1_dim,
-    is_isomorphic,
+    find_isomorphism,
     is_sincere,
     pdim_le_1,
     projective_module,
@@ -682,7 +682,7 @@ def quotient_by_cut(alg, arq, cut, cap=10**6):
             tau_ok = False
             continue
         tau_b_name = arq_b.tau[name_b]
-        if not is_isomorphic(arq_b.module_of(tau_b_name), tau_a_lifted):
+        if find_isomorphism(arq_b.module_of(tau_b_name), tau_a_lifted) is None:
             tau_ok = False
     return QuotientResult(
         algebra=b,

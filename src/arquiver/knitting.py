@@ -316,7 +316,7 @@ class ARQuiver:
         ``module``; (None, None) when there is none.
 
         One ``find_isomorphism`` per vertex of equal dimension vector.  Its
-        pair search is complete here: every vertex module is indecomposable,
+        search is complete here: every vertex module is indecomposable,
         so its endomorphism ring is local.
         """
         for n, v in self.vertices.items():

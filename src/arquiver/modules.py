@@ -17,15 +17,12 @@ from .errors import (
     NonLocalEndRing,
     NonSplitEndomorphismRing,
     PreconditionError,
-    UnsupportedRadicalComputation,
 )
 from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank, solve
 from .structure import (
     StructureAlgebra,
     is_hereditary as structure_is_hereditary,
     matrix_min_poly,
-    poly_degree,
-    poly_divide_linear,
     rational_roots,
 )
 
@@ -164,18 +161,6 @@ class ModuleMap:
         return ModuleMap(
             self.src, self.tgt, {v: self.mats[v].power(n) for v in self.mats}, check=False
         )
-
-    def polynomial(self, coeffs):
-        """Evaluate a polynomial (low degree first) at this endomorphism."""
-        out = {}
-        for v in self.mats:
-            acc = Matrix.zeros(self.src.dims[v], self.src.dims[v], self.field)
-            for c in reversed(coeffs):
-                acc = acc * self.mats[v]
-                if c:
-                    acc = acc + Matrix.identity(self.src.dims[v], self.field).scale(c)
-            out[v] = acc
-        return ModuleMap(self.src, self.src, out, check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.tgt!r})"
@@ -538,29 +523,66 @@ class HomSpace:
         return _unflatten(x, y, self._accumulate([x.field.zero] * size, c))
 
 
-def end_radical_coords(m, basis):
-    """Coordinates (in the given End basis) of rad End(M).
+def _eigenvalues(f, verts):
+    """(eigenvalues, rootless) of the endomorphism f on the vertices verts.
 
-    Uses the trace form of the action on M, valid in characteristic 0 and
-    for p > max(dim M, dim End M).
+    The eigenvalues are the roots in the ground field of the minimal
+    polynomials of f's blocks, in the order ``rational_roots`` gives for the
+    minimal polynomial of f: over Q zero first, then ascending; over F_p
+    ascending.  ``rootless`` says whether some factor has no root in the
+    field.
     """
+    roots, rootless = set(), False
+    for v in verts:
+        found, residual = rational_roots(matrix_min_poly(f.mats[v]), f.field)
+        roots.update(lam for lam, _mult in found)
+        rootless = rootless or residual > 0
+    key = (lambda lam: (lam != 0, lam)) if f.field.char == 0 else (lambda lam: lam.value)
+    return sorted(roots, key=key), rootless
+
+
+def _combination(basis, coeffs):
+    out = ModuleMap.zero(basis[0].src, basis[0].tgt)
+    for b, c in zip(basis, coeffs):
+        if c:
+            out = out.add(b.scale(c))
+    return out
+
+
+def end_radical_coords(m, basis):
+    """Coordinates (in the given End basis) of rad End(M) when End(M) is
+    local with End/rad = k, and None otherwise.
+
+    In such a ring every b is lambda(b) + (nilpotent), so rad is the kernel
+    of b -> lambda(b), read on the vertex where M is smallest but nonzero.
+    The candidate N is certified when M > N.M > N.N.M > ... reaches 0: then
+    N is nilpotent of codimension 1 without 1, so the non-units form N.
+    Were End(M) local with End/rad = k, Nakayama would make each step
+    shrink, so a step that does not shrink refutes it.
+    """
+    sizes = {v: d for v, d in m.dims.items() if d}
+    v = min(sizes, key=sizes.get)
+    lams = []
+    for b in basis:
+        eig, rootless = _eigenvalues(b, [v])
+        if len(eig) != 1 or rootless:
+            return None
+        lams.append(eig[0])
     field = m.field
-    d = len(basis)
-    if field.char and field.char <= max(m.total_dim, d):
-        raise UnsupportedRadicalComputation(
-            "trace-form radical of End(M) needs char 0 or a larger prime"
-        )
-    gram = Matrix.zeros(d, d, field)
-    for i in range(d):
-        for j in range(d):
-            comp = basis[i].compose(basis[j])
-            t = field.zero
-            for v in m.alg.quiver.vertices:
-                block = comp.mats[v]
-                for k in range(block.nrows):
-                    t = t + block.data[k][k]
-            gram.data[j][i] = t
-    return kernel_basis(gram)
+    rad = kernel_basis(Matrix(1, len(basis), [lams], field))
+    rad_maps = [_combination(basis, r) for r in rad]
+    spaces = {w: Matrix.identity(d, field).data for w, d in sizes.items()}
+    size = m.total_dim
+    while size:
+        spaces = {
+            w: RowSpace(d, [n.mats[w].apply(x) for n in rad_maps for x in spaces[w]], field=field).rows
+            for w, d in sizes.items()
+        }
+        shrunk = sum(len(vecs) for vecs in spaces.values())
+        if shrunk >= size:
+            return None
+        size = shrunk
+    return rad
 
 
 # -- isomorphism and decomposition -----------------------------------------
@@ -569,9 +591,9 @@ def end_radical_coords(m, basis):
 def find_isomorphism(x, y):
     """An explicit isomorphism X -> Y, or None.
 
-    Searches hom-basis pairs (f, g) for g.f invertible; such an f is a
-    split mono between modules of equal dimension vector, hence an
-    isomorphism.  Complete when End(X) is local (every indecomposable).
+    Returns the first invertible basis map of Hom(X, Y).  Complete when
+    End(X) is local (every indecomposable): then Hom(Y, X).f = End(X) for an
+    isomorphism f, and a basis of a local ring holds a unit.
     """
     if x is y:
         return ModuleMap.identity(x)
@@ -579,12 +601,9 @@ def find_isomorphism(x, y):
         return None
     if x.total_dim == 0:
         return ModuleMap.zero(x, y)
-    fs = hom_basis(x, y)
-    gs = hom_basis(y, x)
-    for f in fs:
-        for g in gs:
-            if g.compose(f).is_invertible():
-                return f
+    for f in hom_basis(x, y):
+        if f.is_invertible():
+            return f
     return None
 
 
@@ -599,9 +618,7 @@ def is_isomorphic(x, y):
         return False
     if find_isomorphism(x, y) is not None:
         return True
-    ends = hom_basis(x, x)
-    rad = end_radical_coords(x, ends)
-    if len(ends) - len(rad) == 1:
+    if end_radical_coords(x, hom_basis(x, x)) is not None:
         return False
     dx = decompose_with_inclusions(x)
     dy = decompose_with_inclusions(y)
@@ -620,92 +637,72 @@ def is_isomorphic(x, y):
     return True
 
 
-def _split_candidates(basis):
+def _fitting_split(m, phi):
+    """The pieces of M = ker phi^n (+) im phi^n, n = dim M (Fitting's lemma),
+    each decomposed further, with inclusions into M."""
+    power = phi.power(m.total_dim)
+    kernel = {v: kernel_basis(power.mats[v]) for v in m.dims}
+    image = {v: power.mats[v].transpose().data for v in m.dims}
+    if not any(kernel.values()) or power.is_zero():
+        raise InternalError("Fitting summands do not split the module")
+    out = []
+    for cols in (kernel, image):
+        sub, inc = submodule_from_columns(m, cols)
+        out.extend((piece, inc.compose(j)) for piece, j in decompose_with_inclusions(sub))
+    return out
+
+
+def _split_by_basis(m, basis):
+    """Indecomposable pieces of M with inclusions, from a basis of End(M).
+
+    1. A basis map b with two eigenvalues, or one and a rootless factor,
+       splits M by Fitting with phi = b - lambda, lambda its first eigenvalue.
+    2. Otherwise M is indecomposable when ``end_radical_coords`` certifies
+       End(M) local.
+    3. Otherwise, with n_i = b_i - lambda(b_i) over the b_i with an
+       eigenvalue, the first n_i.n_j that is not nilpotent splits M.  If
+       every b_i has one, End/rad holds a matrix block M_a(k), a >= 2, whose
+       trace form is nondegenerate, so such a pair exists.
+    4. Otherwise some basis map has no eigenvalue in the field and no map
+       tried splits M; over Q no method is complete here (Ronyai 1990).
+    """
+    one = ModuleMap.identity(m)
+    verts = [v for v, d in m.dims.items() if d]
+    nilpotent = []
     for b in basis:
-        yield b
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield basis[i].add(basis[j])
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield basis[i].compose(basis[j])
-    # bounded grid over the first few basis elements
-    head = basis[: min(3, n)]
-    field = basis[0].field
-    coeffs = [field.from_int(c) for c in (-2, -1, 1, 2)]
-    if len(head) >= 2:
-        for c0 in coeffs:
-            for c1 in coeffs:
-                yield head[0].scale(c0).add(head[1].scale(c1))
-    if len(head) >= 3:
-        for c0 in coeffs:
-            for c1 in coeffs:
-                for c2 in coeffs:
-                    yield head[0].scale(c0).add(head[1].scale(c1)).add(head[2].scale(c2))
-
-
-def _total_matrix(f):
-    """Block-diagonal matrix of an endomorphism on the total space."""
-    n = f.src.total_dim
-    field = f.field
-    big = Matrix.zeros(n, n, field)
-    off = 0
-    for v in f.src.alg.quiver.vertices:
-        block = f.mats[v]
-        for i in range(block.nrows):
-            for j in range(block.ncols):
-                if block.data[i][j]:
-                    big.data[off + i][off + j] = block.data[i][j]
-        off += f.src.dims[v]
-    return big
+        eig, rootless = _eigenvalues(b, verts)
+        if eig:
+            shifted = b.add(one.scale(-eig[0]))
+            if len(eig) > 1 or rootless:
+                return _fitting_split(m, shifted)
+            nilpotent.append(shifted)
+    if end_radical_coords(m, basis) is not None:
+        return [(m, one)]
+    for ni in nilpotent:
+        for nj in nilpotent:
+            phi = ni.compose(nj)
+            if not phi.power(m.total_dim).is_zero():
+                return _fitting_split(m, phi)
+    raise NonSplitEndomorphismRing(
+        "a basis endomorphism has no eigenvalue in the ground field, "
+        "and none splits the module"
+    )
 
 
 def decompose_with_inclusions(m):
     """Indecomposable pieces with explicit inclusions into m.
 
-    Splits along generalized eigenspaces of endomorphisms whose minimal
-    polynomial has at least two coprime factors over the ground field;
-    locality of End certifies indecomposability.  Raises
-    NonSplitEndomorphismRing when no in-field splitting exists.
+    Fitting splits by endomorphisms of the End(M) basis, in every
+    characteristic; see ``_split_by_basis``.  Raises
+    NonSplitEndomorphismRing when a basis map has no eigenvalue in the
+    ground field and none splits M.
     """
     if m.total_dim == 0:
         return []
     basis = hom_basis(m, m)
     if len(basis) == 1:
         return [(m, ModuleMap.identity(m))]
-    rad = end_radical_coords(m, basis)
-    if len(basis) - len(rad) == 1:
-        return [(m, ModuleMap.identity(m))]
-    field = m.field
-    for cand in _split_candidates(basis):
-        mu = matrix_min_poly(_total_matrix(cand))
-        roots, _residual = rational_roots(mu, field)
-        for lam, e in roots:
-            g = mu
-            for _ in range(e):
-                g, r = poly_divide_linear(g, lam, field)
-                if r:
-                    raise InternalError("root multiplicity bookkeeping failed")
-            if poly_degree(g) == 0:
-                continue
-            shifted = cand.polynomial([-lam, field.one]).power(e)
-            m1, inc1 = kernel_submodule(shifted)
-            m2, inc2 = kernel_submodule(cand.polynomial(g))
-            if m1.total_dim == 0 or m2.total_dim == 0:
-                continue
-            if m1.total_dim + m2.total_dim != m.total_dim:
-                raise InternalError("generalized eigenspaces do not fill the module")
-            out = []
-            for piece, inc in decompose_with_inclusions(m1):
-                out.append((piece, inc1.compose(inc)))
-            for piece, inc in decompose_with_inclusions(m2):
-                out.append((piece, inc2.compose(inc)))
-            return out
-    raise NonSplitEndomorphismRing(
-        "no splitting endomorphism found over the ground field"
-    )
+    return _split_by_basis(m, basis)
 
 
 def decompose(m):
@@ -954,21 +951,19 @@ def sincere_faithful(mods):
 
 
 def pdim_le_1(m):
-    """True iff the syzygy of M is projective."""
+    """True iff the syzygy Omega of M is projective, that is, iff its
+    projective cover, dim top(Omega)_v copies of each P_v, has dim Omega."""
     if m.total_dim == 0:
         return True
     _p0, epi, _verts, _layout = projective_cover(m)
     ker, _incl = kernel_submodule(epi)
-    if ker.total_dim == 0:
-        return True
-    projs = {v: projective_module(m.alg, v) for v in m.alg.quiver.vertices}
-    for piece, _mult in decompose(ker):
-        if not any(
-            piece.dim_vector == p.dim_vector and is_isomorphic(piece, p)
-            for p in projs.values()
-        ):
-            return False
-    return True
+    rad = radical_subspaces(ker)
+    alg = m.alg
+    cover_dim = sum(
+        (ker.dims[v] - rad[v].dim) * sum(1 for p in alg.basis if p.source == v)
+        for v in alg.quiver.vertices
+    )
+    return cover_dim == ker.total_dim
 
 
 @dataclass
@@ -1020,7 +1015,7 @@ def almost_split_sequence(m):
         raise PreconditionError("almost split sequence of the zero module")
     hs_end = HomSpace(m, m)
     rad_coords = end_radical_coords(m, hs_end.basis)
-    if hs_end.dim - len(rad_coords) != 1:
+    if rad_coords is None:
         raise NonLocalEndRing("module is not certified indecomposable")
     pres = min_presentation(m)
     if not pres.verts1:

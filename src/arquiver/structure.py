@@ -304,10 +304,6 @@ class StructureAlgebra:
                         out[k] = out[k] + c * v
         return out
 
-    def left_mult_matrix(self, x):
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)], self.field)
-
     def trace_of_left_mult(self, x):
         t = self.field.zero
         for k in range(self.dim):

@@ -6,8 +6,10 @@ how many nodes it visited.  ``reference_convex_in_ind`` reads convexity in
 ind A off the first level of the full radical filtration, as the slice
 check did before it read the cached rad^1 alone.  The walk pruned by
 Hom(X, tau Y) conflicts is judged by ``reference_hom_vanishing``, which
-solves Hom spaces; the rank test of faithfulness by ``annihilator``; and the
-Hom dimensions read off the meshes by ``hom_space``.
+solves Hom spaces; the rank test of faithfulness by ``annihilator``; the
+Hom dimensions read off the meshes by ``hom_space``; and the dimension count
+of ``pdim_le_1`` by ``reference_pdim_le_1``, which matches the syzygy's
+summands against the indecomposable projectives.
 """
 
 import random
@@ -32,7 +34,17 @@ from arquiver.cuts import (
 from arquiver.errors import CapExceeded, InternalError
 from arquiver.formats import parse_translation_quiver
 from arquiver.knitting import knit, nonzero_path_exists
-from arquiver.modules import annihilator, sincere_faithful
+from arquiver.modules import (
+    annihilator,
+    decompose,
+    direct_sum,
+    is_isomorphic,
+    kernel_submodule,
+    pdim_le_1,
+    projective_cover,
+    projective_module,
+    sincere_faithful,
+)
 from tests.conftest import FIXTURES
 from tests.test_knitting import D4_TEXT, SQUARE_TEXT
 
@@ -310,6 +322,32 @@ def test_rank_test_agrees_with_the_annihilator(quivers):
             faithful = sincere_faithful(mods)[1]
             assert faithful == (not annihilator(mods))
             verdicts.add(faithful)
+    assert verdicts == {True, False}
+
+
+def reference_pdim_le_1(m):
+    """Whether every summand of the syzygy of M is isomorphic to some P_v."""
+    _p0, epi, _verts, _layout = projective_cover(m)
+    ker, _incl = kernel_submodule(epi)
+    if ker.total_dim == 0:
+        return True
+    projs = [projective_module(m.alg, v) for v in m.alg.quiver.vertices]
+    return all(
+        any(piece.dim_vector == p.dim_vector and is_isomorphic(piece, p) for p in projs)
+        for piece, _mult in decompose(ker)
+    )
+
+
+def test_pdim_count_agrees_with_matching_summands(quivers):
+    verdicts = set()
+    for label in FIXTURE_FILES + ["D4", "A5", "D5"]:
+        arq = quivers[label]
+        cuts = [[n] for n in arq.names()] + [sorted(c) for c in iter_cuts(arq, conflict=hom_tau_conflict(arq))]
+        for cut in cuts:
+            m = direct_sum([arq.module_of(n) for n in cut])[0]
+            verdict = pdim_le_1(m)
+            assert verdict == reference_pdim_le_1(m), (label, cut)
+            verdicts.add(verdict)
     assert verdicts == {True, False}
 
 

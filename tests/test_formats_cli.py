@@ -316,20 +316,15 @@ def test_certificate_round_trip_is_byte_identical(alg_cycle4, arq_cycle4):
 
 
 def test_cli_internal_invariant_failure_is_a_clean_refusal(monkeypatch, capsys):
-    # a decomposition that loses track of a root multiplicity must end in one
-    # error line and exit code 2, not a traceback
+    # a Fitting split that raises phi to the power 0 instead of dim M finds
+    # no kernel; that must end in one error line and exit code 2, not a
+    # traceback
     import arquiver.modules as modules
 
-    divide = modules.poly_divide_linear
-
-    def broken_divide(p, lam, field):
-        quotient, _remainder = divide(p, lam, field)
-        return quotient, field.one
-
-    monkeypatch.setattr(modules, "poly_divide_linear", broken_divide)
+    monkeypatch.setattr(modules.ModuleMap, "power", lambda f, n: modules.ModuleMap.identity(f.src))
     rc = main(["ar", "build", fixture_path("a3_line.alg")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == "error: root multiplicity bookkeeping failed\n"
+    assert captured.err == "error: Fitting summands do not split the module\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
