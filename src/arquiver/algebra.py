@@ -319,9 +319,6 @@ class AlgebraBasis:
                     out[k] = out[k] + xi * yj * c
         return out
 
-    def multiply_basis(self, i, j):
-        return self.table[i][j]
-
     def element_label(self, x):
         """Readable form of a coordinate vector, for reports."""
         parts = []

@@ -123,24 +123,12 @@ class ConvexityResult:
 
 
 def _cycle_inside(arq, cut):
-    """Directed cycle search within the induced subquiver on the cut."""
-    cut = set(cut)
-    color = {}
-
-    def dfs(n):
-        color[n] = 1
-        for (s, t) in arq.arrows_from(n):
-            if t not in cut:
-                continue
-            c = color.get(t, 0)
-            if c == 1:
-                return True
-            if c == 0 and dfs(t):
-                return True
-        color[n] = 2
-        return False
-
-    return any(dfs(n) for n in sorted(cut) if color.get(n, 0) == 0)
+    """Whether the subquiver induced on the cut has a directed cycle."""
+    succ = {n: set() for n in cut}
+    for (s, t) in arq.arrows:
+        if s in succ and t in succ:
+            succ[s].add(t)
+    return any(n in closure(succ[n], succ) for n in succ)
 
 
 def _convex(cut, vertices, edges):

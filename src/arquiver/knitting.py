@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import InputSyntaxError, LimitExceeded, PreconditionError
+from .graph import components
 from .linalg import RowSpace
 from .modules import (
     HomSpace,
@@ -116,28 +117,12 @@ class ARQuiver:
     def arrows_from(self, name):
         return [(s, t) for (s, t) in self.arrows if s == name]
 
-    def arrows_into(self, name):
-        return [(s, t) for (s, t) in self.arrows if t == name]
-
     def mult(self, src, tgt):
         return self.arrows.get((src, tgt), 0)
 
     def tau_orbits(self):
         """Orbits of the partial translation, each sorted by discovery."""
-        parent = {n: n for n in self.vertices}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x, y in self.tau.items():
-            parent[find(x)] = find(y)
-        orbits = {}
-        for n in self.vertices:
-            orbits.setdefault(find(n), []).append(n)
-        return list(orbits.values())
+        return components(self.names(), self.tau.items())
 
     def combinatorial_data(self):
         """Canonical tuple for round-trip comparison."""

@@ -202,21 +202,6 @@ class Matrix:
             m.data[i][i] = field.one
         return m
 
-    @classmethod
-    def from_rows(cls, rows, ncols=None, field=QQ):
-        if not rows:
-            if ncols is None:
-                raise DimensionError("cannot infer column count of an empty row list")
-            return cls(0, ncols, [], field)
-        return cls(len(rows), len(rows[0]), rows, field)
-
-    @classmethod
-    def column(cls, entries, field=QQ):
-        return cls(len(entries), 1, [[e] for e in entries], field)
-
-    def copy(self):
-        return Matrix(self.nrows, self.ncols, self.data, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -458,9 +443,6 @@ class RowSpace:
             and self.n == other.n
             and self.rows == other.rows
         )
-
-    def __le__(self, other):
-        return all(other.contains(r) for r in self.rows)
 
     def copy(self):
         s = RowSpace(self.n, field=self.field)

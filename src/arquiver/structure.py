@@ -286,9 +286,6 @@ class StructureAlgebra:
         v[i] = self.field.one
         return v
 
-    def zero_vector(self):
-        return [self.field.zero] * self.dim
-
     def mul(self, x, y):
         out = [self.field.zero] * self.dim
         for i, xi in enumerate(x):

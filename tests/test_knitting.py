@@ -271,6 +271,19 @@ def test_d4_subspace_quiver_knit():
     assert arq.tau["I_z"] == "M{2,1,1,1}#1"
 
 
+def test_tau_orbits_are_pinned(arq_cycle4):
+    assert arq_cycle4.tau_orbits() == [
+        ["P_a"], ["P_b"], ["P_c"], ["P_d"], ["S_c", "S_a", "S_d", "S_b"]
+    ]
+    arq = knit(build_basis(parse_presentation(D4_TEXT)))
+    assert arq.tau_orbits() == [
+        ["S_z", "I_z", "M{2,1,1,1}#1"],
+        ["P_u1", "S_u1", "M{1,0,1,1}#1"],
+        ["P_u2", "S_u2", "M{1,1,0,1}#1"],
+        ["P_u3", "S_u3", "M{1,1,1,0}#1"],
+    ]
+
+
 def test_commutative_square_knit():
     alg = build_basis(parse_presentation(SQUARE_TEXT))
     assert alg.dim == 9 and alg.nilpotency == 3

@@ -113,8 +113,8 @@ def test_is_isomorphic_matches_swapped_summands(pencils):
     x, _, _ = direct_sum([r0, r1])
     y, _, _ = direct_sum([r1, r0])
     z, _, _ = direct_sum([r0, r2])
-    # no single pair of hom-basis maps composes to an automorphism, so the
-    # answer comes from decomposing and matching the summands
+    # both basis maps of Hom(r0 + r1, r1 + r0) are singular, so the answer
+    # comes from decomposing and matching the summands
     assert find_isomorphism(x, y) is None
     assert is_isomorphic(x, y)
     assert not is_isomorphic(x, z)
