@@ -74,6 +74,12 @@ def _vertex_names(arq, text):
     return names
 
 
+def _limits(parser):
+    """The knit limits every command that builds an AR quiver takes."""
+    parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="arquiver",
@@ -90,27 +96,23 @@ def _build_parser():
     ar_sub = p_ar.add_subparsers(dest="subcommand", required=True)
     p_build = ar_sub.add_parser("build", help="knit the AR quiver")
     p_build.add_argument("file")
-    p_build.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_build.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_build)
     p_build.add_argument("--out")
     p_dot = ar_sub.add_parser("dot", help="export the AR quiver as DOT")
     p_dot.add_argument("file")
     p_dot.add_argument("--out", required=True)
-    p_dot.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_dot.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_dot)
 
     p_cut = sub.add_parser("cut", help="cut analysis")
     cut_sub = p_cut.add_subparsers(dest="subcommand", required=True)
     p_ccheck = cut_sub.add_parser("check", help="analyze one vertex subset")
     p_ccheck.add_argument("file")
     p_ccheck.add_argument("--modules", required=True, help="comma-separated vertex names")
-    p_ccheck.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_ccheck.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_ccheck)
     p_cenum = cut_sub.add_parser("enumerate", help="enumerate all cuts")
     p_cenum.add_argument("file")
     p_cenum.add_argument("--cap", type=int, default=10**6)
-    p_cenum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_cenum.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_cenum)
 
     p_tilted = sub.add_parser("tilted", help="tiltedness certification")
     tilted_sub = p_tilted.add_subparsers(dest="subcommand", required=True)
@@ -119,15 +121,13 @@ def _build_parser():
     p_cert.add_argument(
         "--cap", type=int, default=10**6, help="node cap of the walk over hom-vanishing cuts"
     )
-    p_cert.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_cert.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_cert)
 
     p_quot = sub.add_parser("quotient", help="tilted quotient by a cut")
     p_quot.add_argument("file")
     p_quot.add_argument("--modules", required=True)
     p_quot.add_argument("--emit-algebra", dest="emit_algebra")
-    p_quot.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    p_quot.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    _limits(p_quot)
     return parser
 
 

@@ -60,7 +60,6 @@ class ARQuiver:
         self.meshes = {}
         self.arrow_maps = {}
         self._hom_spaces = {}
-        self._end_rad_dims = {}
         self._mesh_order = None
         self._hom_dims = {}
         self._rad1 = {}
@@ -143,13 +142,6 @@ class ARQuiver:
             self._hom_spaces[key] = HomSpace(self.module_of(xname), self.module_of(yname))
         return self._hom_spaces[key]
 
-    def end_radical(self, name):
-        """Coordinates of rad End at a vertex, in its End-basis."""
-        if name not in self._end_rad_dims:
-            hs = self.hom_space(name, name)
-            self._end_rad_dims[name] = end_radical_coords(self.module_of(name), hs.basis)
-        return self._end_rad_dims[name]
-
     def _order_and_predecessors(self):
         """(order, into): ``into[y]`` lists (z, mult(Z -> Y)) over the arrows
         into Y, and ``order`` runs every arrow and every tau edge tau Y -> Y
@@ -223,7 +215,9 @@ class ARQuiver:
         if key not in self._rad1:
             field = self.alg.field
             if x == y:
-                space = RowSpace(self.hom_space(x, x).dim, self.end_radical(x), field=field)
+                end = self.hom_space(x, x)
+                rad = end_radical_coords(self.module_of(x), end.basis)
+                space = RowSpace(end.dim, rad, field=field)
             else:
                 d = self.hom_dim(x, y)
                 units = [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]

@@ -18,7 +18,7 @@ from .errors import (
     NonSplitEndomorphismRing,
     PreconditionError,
 )
-from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank, solve
+from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank
 from .structure import (
     StructureAlgebra,
     is_hereditary as structure_is_hereditary,
@@ -30,7 +30,7 @@ from .structure import (
 class Module:
     """A representation: per-vertex dimensions plus per-arrow matrices."""
 
-    def __init__(self, alg, dims, mats, check=True, meta=None):
+    def __init__(self, alg, dims, mats, check=True):
         self.alg = alg
         self.field = alg.field
         self.dims = {v: dims.get(v, 0) for v in alg.quiver.vertices}
@@ -41,7 +41,6 @@ class Module:
                 m = Matrix.zeros(self.dims[a.target], self.dims[a.source], self.field)
             self.mats[a.label] = m
         self.total_dim = sum(self.dims.values())
-        self.meta = meta or {}
         if check:
             self._validate()
 
@@ -174,7 +173,7 @@ def zero_module(alg):
 
 
 def simple_module(alg, v):
-    return Module(alg, {v: 1}, {}, check=True, meta={"kind": "simple", "vertex": v})
+    return Module(alg, {v: 1}, {}, check=True)
 
 
 def projective_sum(alg, verts):
@@ -211,14 +210,11 @@ def projective_sum(alg, verts):
                 for kk, c in alg.table[ai][k]:
                     m.data[tgt_off + tgt_pos[kk]][src_off + col] = c
         mats[a.label] = m
-    mod = Module(alg, dims, mats, check=True, meta={"kind": "projective_sum", "verts": list(verts)})
-    return mod, layout
+    return Module(alg, dims, mats, check=True), layout
 
 
 def projective_module(alg, v):
-    mod, _ = projective_sum(alg, [v])
-    mod.meta = {"kind": "projective", "vertex": v}
-    return mod
+    return projective_sum(alg, [v])[0]
 
 
 def dual_module(m):
@@ -233,11 +229,7 @@ def dual_module(m):
 
 def injective_module(alg, v):
     """I_v = D of the right projective e_v A (a projective over A^op)."""
-    op = alg.opposite()
-    p_op = projective_module(op, v)
-    mod = dual_module(p_op)
-    mod.meta = {"kind": "injective", "vertex": v}
-    return mod
+    return dual_module(projective_module(alg.opposite(), v))
 
 
 def canonical_modules(alg):
@@ -302,23 +294,16 @@ def submodule_from_columns(m, columns):
     """Submodule spanned by given column vectors per vertex.
 
     columns[v] is a list of vectors in M_v whose span is arrow-invariant.
-    Returns (N, inclusion).
+    Returns (N, inclusion).  N_v has the RREF rows of the span as basis, so
+    the coordinates of a vector in the span are its entries at the pivots.
     """
     alg = m.alg
     field = m.field
-    basis = {}
-    for v in alg.quiver.vertices:
-        space = RowSpace(m.dims[v], field=field)
-        for c in columns.get(v, []):
-            space.add(c)
-        basis[v] = [list(r) for r in space.rows]
-    dims = {v: len(basis[v]) for v in alg.quiver.vertices}
+    spaces = {v: RowSpace(m.dims[v], columns.get(v, []), field=field) for v in alg.quiver.vertices}
+    dims = {v: spaces[v].dim for v in alg.quiver.vertices}
     incl = {
         v: Matrix(
-            m.dims[v],
-            dims[v],
-            [[basis[v][j][i] for j in range(dims[v])] for i in range(m.dims[v])],
-            field,
+            m.dims[v], dims[v], [[r[i] for r in spaces[v].rows] for i in range(m.dims[v])], field
         )
         for v in alg.quiver.vertices
     }
@@ -326,13 +311,12 @@ def submodule_from_columns(m, columns):
     for a in alg.quiver.arrows.values():
         src, tgt = a.source, a.target
         block = Matrix.zeros(dims[tgt], dims[src], field)
-        for j in range(dims[src]):
-            img = m.mats[a.label].apply(basis[src][j])
-            coords = solve(incl[tgt], img)
-            if coords is None:
+        for j, row in enumerate(spaces[src].rows):
+            img = m.mats[a.label].apply(row)
+            if any(spaces[tgt].reduce(img)):
                 raise PreconditionError("column span is not arrow-invariant")
-            for i in range(dims[tgt]):
-                block.data[i][j] = coords[i]
+            for i, p in enumerate(spaces[tgt].pivots):
+                block.data[i][j] = img[p]
         mats[a.label] = block
     sub = Module(alg, dims, mats, check=False)
     return sub, ModuleMap(sub, m, incl, check=False)
@@ -347,7 +331,9 @@ def quotient_by_subspaces(m, subspaces):
     """Quotient of m by per-vertex invariant subspaces.
 
     subspaces[v] is a RowSpace inside M_v.  Returns (Q, projection,
-    section) where section picks the unit-vector coset representatives.
+    section) where section picks the unit-vector coset representatives:
+    the non-pivot e_i.  The projection reads the RREF rows: e_p maps to
+    e_p - row_p for the pivot p of row_p, and a non-pivot e_i to e_i.
     """
     alg = m.alg
     field = m.field
@@ -360,12 +346,11 @@ def quotient_by_subspaces(m, subspaces):
         rep = [i for i in range(m.dims[v]) if i not in pivot_set]
         reps[v] = rep
         pm = Matrix.zeros(len(rep), m.dims[v], field)
-        for i in range(m.dims[v]):
-            unit = [field.zero] * m.dims[v]
-            unit[i] = field.one
-            red = space.reduce(unit)
-            for r_i, coord in enumerate(rep):
-                pm.data[r_i][i] = red[coord]
+        for r_i, i in enumerate(rep):
+            pm.data[r_i][i] = field.one
+        for row, p in zip(space.rows, space.pivots):
+            for r_i, i in enumerate(rep):
+                pm.data[r_i][p] = -row[i]
         proj[v] = pm
         sm = Matrix.zeros(m.dims[v], len(rep), field)
         for j, coord in enumerate(rep):
@@ -738,30 +723,42 @@ def top_lifts(m):
     return lifts
 
 
+def _generator_maps(p, layout, y, image_sets):
+    """Maps from the projective sum P, with the ``layout`` of
+    ``projective_sum``, to Y: one for each list ``images`` in
+    ``image_sets``, sending the generator of summand s to images[s].
+
+    Hom(Ae_v, Y) = Y_v (Auslander-Reiten-Smalo, ch. II), so the map sends
+    the basis path q of summand s to q . images[s].  Each path action is
+    computed once per call, and zero images are skipped.
+    """
+    alg = p.alg
+    actions = {}
+    maps = []
+    for images in image_sets:
+        mats = {w: Matrix.zeros(y.dims[w], p.dims[w], y.field) for w in alg.quiver.vertices}
+        for entry, image in zip(layout, images):
+            if not any(image):
+                continue
+            for w, (off, ks) in entry.items():
+                for j, k in enumerate(ks):
+                    if k not in actions:
+                        actions[k] = y.path_action(alg.basis[k])
+                    for i, c in enumerate(actions[k].apply(image)):
+                        mats[w].data[i][off + j] = c
+        maps.append(ModuleMap(p, y, mats, check=False))
+    return maps
+
+
 def projective_cover(m):
     """(P, epi, summand vertex list, layout) with kernel inside rad P."""
     if m.total_dim == 0:
         raise PreconditionError("projective cover of the zero module")
-    alg = m.alg
     lifts = top_lifts(m)
-    verts = []
-    gens = []
-    for v in alg.quiver.vertices:
-        for u in lifts[v]:
-            verts.append(v)
-            gens.append((v, u))
-    cover, layout = projective_sum(alg, verts)
-    mats = {}
-    for w in alg.quiver.vertices:
-        block = Matrix.zeros(m.dims[w], cover.dims[w], m.field)
-        for s, (v, gen) in enumerate(gens):
-            off, ks = layout[s][w]
-            for j, k in enumerate(ks):
-                img = m.path_action(alg.basis[k]).apply(gen)
-                for i in range(m.dims[w]):
-                    block.data[i][off + j] = img[i]
-        mats[w] = block
-    epi = ModuleMap(cover, m, mats, check=False)
+    vertices = m.alg.quiver.vertices
+    verts = [v for v in vertices for _u in lifts[v]]
+    cover, layout = projective_sum(m.alg, verts)
+    [epi] = _generator_maps(cover, layout, m, [[u for v in vertices for u in lifts[v]]])
     if epi.total_rank() != m.total_dim:
         raise PreconditionError("projective cover map is not surjective")
     return cover, epi, verts, layout
@@ -777,7 +774,6 @@ class MinPresentation:
     verts0: list
     layout1: list
     layout0: list
-    amat: list            # amat[i][j] in paths(verts0[i] -> verts1[j])
     kernel: Module
     kernel_incl: ModuleMap
 
@@ -786,67 +782,45 @@ def min_presentation(m):
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
     p0, epi, verts0, layout0 = projective_cover(m)
     ker, kappa = kernel_submodule(epi)
-    alg = m.alg
     if ker.total_dim == 0:
-        p1, layout1 = projective_sum(alg, [])
+        p1, layout1 = projective_sum(m.alg, [])
         f = ModuleMap.zero(p1, p0)
-        return MinPresentation(p1, p0, f, epi, [], verts0, layout1, layout0, [], ker, kappa)
+        return MinPresentation(p1, p0, f, epi, [], verts0, layout1, layout0, ker, kappa)
     p1, epi_k, verts1, layout1 = projective_cover(ker)
     f = kappa.compose(epi_k)
-    amat = [[None] * len(verts1) for _ in range(len(verts0))]
-    for j, vj in enumerate(verts1):
-        off_j, ks_j = layout1[j][vj]
-        gen_pos = off_j + ks_j.index(alg.idempotent_index[vj])
-        unit = [alg.field.zero] * p1.dims[vj]
-        unit[gen_pos] = alg.field.one
-        img = f.mats[vj].apply(unit)
-        for i in range(len(verts0)):
-            off_i, ks_i = layout0[i][vj]
-            a = alg.zero_element()
-            for t, k in enumerate(ks_i):
-                a[k] = img[off_i + t]
-            amat[i][j] = a
-    return MinPresentation(p1, p0, f, epi, verts1, verts0, layout1, layout0, amat, ker, kappa)
-
-
-def projective_hom(alg, src_verts, tgt_verts, amat):
-    """Map of projectives ⊕_j Ae_{src_j} -> ⊕_i Ae_{tgt_i}.
-
-    amat[i][j] is an algebra element supported on paths tgt_i -> src_j,
-    acting by right multiplication.
-    """
-    src_mod, src_layout = projective_sum(alg, src_verts)
-    tgt_mod, tgt_layout = projective_sum(alg, tgt_verts)
-    mats = {}
-    for w in alg.quiver.vertices:
-        block = Matrix.zeros(tgt_mod.dims[w], src_mod.dims[w], alg.field)
-        for j in range(len(src_verts)):
-            off_j, ks_j = src_layout[j][w]
-            for col, k in enumerate(ks_j):
-                pvec = alg.basis_element(k)
-                for i in range(len(tgt_verts)):
-                    if amat[i][j] is None or not any(amat[i][j]):
-                        continue
-                    prod = alg.multiply(pvec, amat[i][j])
-                    off_i, ks_i = tgt_layout[i][w]
-                    pos = {kk: t for t, kk in enumerate(ks_i)}
-                    for kk, c in enumerate(prod):
-                        if c and alg.basis[kk].source == tgt_verts[i] and alg.basis[kk].target == w:
-                            block.data[off_i + pos[kk]][off_j + col] = c
-        mats[w] = block
-    return ModuleMap(src_mod, tgt_mod, mats, check=False), src_mod, tgt_mod
+    return MinPresentation(p1, p0, f, epi, verts1, verts0, layout1, layout0, ker, kappa)
 
 
 def transpose_module(m, pres=None):
-    """Tr M = coker(Hom(P0, A) -> Hom(P1, A)), a module over A^op."""
+    """Tr M = coker(Hom(f, A): Hom(P0, A) -> Hom(P1, A)), a module over A^op.
+
+    Hom(Ae_v, A) = e_v A is the projective of A^op at v, and Hom(f, A) sends
+    the generator of the i-th summand of P0 to the entries, at the paths
+    v0_i -> v1_j of A, of f's column at the generator of each summand j of
+    P1.  Those are the op paths v1_j -> v0_i, with the same basis indices in
+    the same order.
+    """
     if pres is None:
         pres = min_presentation(m)
     alg = m.alg
     op = alg.opposite()
     if not pres.verts1:
         return zero_module(op)
-    bmat = [[pres.amat[i][j] for i in range(len(pres.verts0))] for j in range(len(pres.verts1))]
-    fstar, _src, _tgt = projective_hom(op, pres.verts0, pres.verts1, bmat)
+    columns = []
+    for v, entry in zip(pres.verts1, pres.layout1):
+        off, ks = entry[v]
+        gen = off + ks.index(alg.idempotent_index[v])
+        columns.append((v, [row[gen] for row in pres.f.mats[v].data]))
+    images = []
+    for entry in pres.layout0:
+        image = []
+        for v, column in columns:
+            off, ks = entry[v]
+            image.extend(column[off : off + len(ks)])
+        images.append(image)
+    p0_op, layout0_op = projective_sum(op, pres.verts0)
+    p1_op, _layout1_op = projective_sum(op, pres.verts1)
+    [fstar] = _generator_maps(p0_op, layout0_op, p1_op, [images])
     coker, _proj, _sect = cokernel_module(fstar)
     return coker
 
@@ -867,21 +841,36 @@ def translate(m, direction="forward", pres=None):
     raise PreconditionError(f"unknown direction {direction!r}")
 
 
+def _ext1(pres, y):
+    """(Hom(K, Y), R) for the syzygy K of ``pres``: Ext^1(M, Y) = Hom(K, Y)/R.
+
+    R, a RowSpace of Hom(K, Y) coordinates, holds the restrictions g.kappa of
+    the maps g: P0 -> Y, spanned by the g that send one generator to a unit
+    vector and the others to zero.
+    """
+    hom_k = HomSpace(pres.kernel, y)
+    image = RowSpace(hom_k.dim, field=y.field)
+    if hom_k.dim:
+        zero, one = y.field.zero, y.field.one
+        units = []
+        for s, v in enumerate(pres.verts0):
+            for i in range(y.dims[v]):
+                images = [[zero] * y.dims[u] for u in pres.verts0]
+                images[s][i] = one
+                units.append(images)
+        for g in _generator_maps(pres.p0, pres.layout0, y, units):
+            image.add(hom_k.coords(g.compose(pres.kernel_incl)))
+    return hom_k, image
+
+
 def ext1_dim(x, y):
-    """dim Ext^1(X, Y) via a minimal presentation of X."""
+    """dim Ext^1(X, Y) = dim Hom(Omega X, Y) - dim of the restrictions of
+    the maps P0 -> Y, read off 0 -> Omega X -> P0 -> X -> 0 with P0 the
+    projective cover of X; right for every projective dimension of X."""
     if x.total_dim == 0 or y.total_dim == 0:
         return 0
-    pres = min_presentation(x)
-    if not pres.verts1:
-        return 0
-    hom_p0 = HomSpace(pres.p0, y)
-    hom_p1 = HomSpace(pres.p1, y)
-    if hom_p1.dim == 0:
-        return 0
-    image = RowSpace(hom_p1.dim, field=x.field)
-    for g in hom_p0.basis:
-        image.add(hom_p1.coords(g.compose(pres.f)))
-    return hom_p1.dim - image.dim
+    hom_k, image = _ext1(min_presentation(x), y)
+    return hom_k.dim - image.dim
 
 
 # -- annihilators and friends ----------------------------------------------
@@ -952,18 +941,11 @@ def sincere_faithful(mods):
 
 def pdim_le_1(m):
     """True iff the syzygy Omega of M is projective, that is, iff its
-    projective cover, dim top(Omega)_v copies of each P_v, has dim Omega."""
+    projective cover P1 in the minimal presentation has dim Omega."""
     if m.total_dim == 0:
         return True
-    _p0, epi, _verts, _layout = projective_cover(m)
-    ker, _incl = kernel_submodule(epi)
-    rad = radical_subspaces(ker)
-    alg = m.alg
-    cover_dim = sum(
-        (ker.dims[v] - rad[v].dim) * sum(1 for p in alg.basis if p.source == v)
-        for v in alg.quiver.vertices
-    )
-    return cover_dim == ker.total_dim
+    pres = min_presentation(m)
+    return pres.p1.total_dim == pres.kernel.total_dim
 
 
 @dataclass
@@ -1023,11 +1005,7 @@ def almost_split_sequence(m):
         raise PreconditionError("projective modules start no almost split sequence")
     tau = translate(m, "forward", pres)
     ker, kappa = pres.kernel, pres.kernel_incl
-    hom_k = HomSpace(ker, tau)
-    hom_p0 = HomSpace(pres.p0, tau)
-    image = RowSpace(hom_k.dim, field=m.field)
-    for h in hom_p0.basis:
-        image.add(hom_k.coords(h.compose(kappa)))
+    hom_k, image = _ext1(pres, tau)
     ext_dim = hom_k.dim - image.dim
     if ext_dim < 1:
         raise PreconditionError("Ext^1(M, tau M) vanished; presentation not minimal?")
