@@ -74,10 +74,21 @@ def _vertex_names(arq, text):
     return names
 
 
+def _positive_int(text):
+    """Argument type of the caps and limits: 0 or less would refuse everything."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return n
+
+
 def _limits(parser):
     """The knit limits every command that builds an AR quiver takes."""
-    parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    parser.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_MAX_VERTICES)
+    parser.add_argument("--max-dim", type=_positive_int, default=DEFAULT_MAX_DIM)
 
 
 def _build_parser():
@@ -111,7 +122,7 @@ def _build_parser():
     _limits(p_ccheck)
     p_cenum = cut_sub.add_parser("enumerate", help="enumerate all cuts")
     p_cenum.add_argument("file")
-    p_cenum.add_argument("--cap", type=int, default=10**6)
+    p_cenum.add_argument("--cap", type=_positive_int, default=10**6)
     _limits(p_cenum)
 
     p_tilted = sub.add_parser("tilted", help="tiltedness certification")
@@ -119,7 +130,7 @@ def _build_parser():
     p_cert = tilted_sub.add_parser("certify", help="decide tiltedness")
     p_cert.add_argument("file")
     p_cert.add_argument(
-        "--cap", type=int, default=10**6, help="node cap of the walk over hom-vanishing cuts"
+        "--cap", type=_positive_int, default=10**6, help="node cap of the walk over hom-vanishing cuts"
     )
     _limits(p_cert)
 

@@ -28,7 +28,7 @@ from .modules import (
 )
 
 DEFAULT_MAX_VERTICES = 256
-DEFAULT_MAX_DIM = 128
+DEFAULT_MAX_DIM = 32
 
 
 @dataclass

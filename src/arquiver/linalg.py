@@ -1,12 +1,18 @@
 """Exact dense linear algebra over Q and prime fields.
 
+An element of Q is a Python ``int`` when it is an integer and a
+``Fraction`` otherwise; an element of F_p is an ``FpElement``.  Nothing is
+floating point: every division goes through ``field.inv``, since ``/``
+between two ints would give a float.
+
 Everything downstream (Hom spaces, translates, annihilators) reduces to
 kernels and linear solves over an exact field, so determinism here means
 determinism everywhere: row reduction always picks the first nonzero pivot
-and normalizes it to 1, and kernel bases are read off the reduced echelon
-form with free variables set to 1 one at a time.
+and scales its row by the pivot's inverse, taken once, and kernel bases are
+read off the reduced echelon form with free variables set to 1 one at a
+time.
 
-Elimination skips zero entries: a pivot row is divided and subtracted only
+Elimination skips zero entries: a pivot row is scaled and subtracted only
 over the columns where it is nonzero, from the pivot column on.  The
 systems met downstream are very sparse, and since the arithmetic is exact
 the result is the same as a full dense sweep with the same pivot rule.
@@ -19,22 +25,37 @@ from .errors import DimensionError
 
 
 class RationalField:
-    """The field Q with elements represented as Fraction."""
+    """The field Q: an integer is an ``int``, any other element a ``Fraction``.
+
+    Nearly every number a knit meets is an integer, mostly +-1, and int
+    arithmetic allocates no Fraction and takes no gcd.  An int and a
+    Fraction of equal value compare, hash and print alike, so the two
+    representations mix freely; a Fraction that comes out integral from
+    Fraction arithmetic is left as it is.
+    """
 
     char = 0
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
         try:
-            return Fraction(text)
+            x = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {text!r}") from exc
+        return x.numerator if x.denominator == 1 else x
+
+    def inv(self, x):
+        """1/x, an int when it is integral; ZeroDivisionError at 0."""
+        if x == 1 or x == -1:
+            return x
+        r = 1 / Fraction(x)
+        return r.numerator if r.denominator == 1 else r
 
     def format(self, x):
         return str(x)
@@ -103,12 +124,6 @@ class FpElement:
             raise ZeroDivisionError("division by zero in F_p")
         return FpElement(self.value * pow(v, self.p - 2, self.p), self.p)
 
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(v, self.p) / self
-
     def __neg__(self):
         return FpElement(-self.value, self.p)
 
@@ -154,6 +169,11 @@ class PrimeField:
 
     def from_int(self, n):
         return FpElement(n, self.p)
+
+    def inv(self, x):
+        if not x:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElement(pow(x.value, self.p - 2, self.p), self.p)
 
     def parse(self, text):
         try:
@@ -317,9 +337,9 @@ def rref(m):
         data[r], data[pr] = data[pr], data[r]
         prow = data[r]
         support = _support(prow, c)
-        inv = prow[c]
+        inv = m.field.inv(prow[c])
         for j in support:
-            prow[j] = prow[j] / inv
+            prow[j] = prow[j] * inv
         for i in range(m.nrows):
             if i != r and data[i][c]:
                 _eliminate(data[i], data[i][c], prow, support)
@@ -411,9 +431,9 @@ class RowSpace:
         if not support:
             return False
         lead = support[0]
-        inv = v[lead]
+        inv = self.field.inv(v[lead])
         for j in support:
-            v[j] = v[j] / inv
+            v[j] = v[j] * inv
         # v vanishes at every existing pivot, so clearing its pivot column
         # from the other rows keeps all rows reduced against each other
         for row in self.rows:

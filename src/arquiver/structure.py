@@ -84,7 +84,6 @@ def rational_roots(p, field=QQ):
         return [], 0
     roots = []
     if field.char == 0:
-        from fractions import Fraction
 
         def candidates(poly):
             # integer-cleared polynomial: p/q with p | a0, q | a_n
@@ -103,10 +102,11 @@ def rational_roots(p, field=QQ):
             ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
             qs = [d for d in range(1, an + 1) if an % d == 0]
             out = set()
-            for pp in ps:
-                for qq in qs:
-                    out.add(Fraction(pp, qq))
-                    out.add(Fraction(-pp, qq))
+            for qq in qs:
+                r = field.inv(qq)
+                for pp in ps:
+                    out.add(pp * r)
+                    out.add(-pp * r)
             return sorted(out)
 
         # strip zero roots first
@@ -441,13 +441,14 @@ def split_commutative_semisimple(alg):
         lam = None
         for a, b in zip(sq, w):
             if b:
-                lam = a / b
+                lam = a * field.inv(b)
                 break
         if lam is None or not lam:
             raise NonSplitEndomorphismRing("degenerate block while normalizing idempotent")
         if sq != [lam * c for c in w]:
             raise NonSplitEndomorphismRing("block is not closed under squaring")
-        idempotents.append([c / lam for c in w])
+        r = field.inv(lam)
+        idempotents.append([c * r for c in w])
     return idempotents
 
 

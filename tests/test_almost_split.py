@@ -102,7 +102,10 @@ def _sequence_digest(seq):
     data = hashlib.sha256()
     for mats in (seq.middle.mats, seq.right.mats):
         for key in sorted(mats):
-            data.update(f"{key}:{mats[key].data}".encode())
+            # Fraction(e), so the digest pins each value but not whether
+            # an integral entry is stored as an int or a Fraction
+            exact = [[Fraction(e) for e in row] for row in mats[key].data]
+            data.update(f"{key}:{exact}".encode())
     return data.hexdigest()[:16]
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.cli import main
 from arquiver.cuts import certify_tilted, quotient_by_cut
@@ -157,6 +159,43 @@ def test_cli_ar_build_limit(capsys):
     assert rc == 3
     data = json.loads(captured.out)
     assert data["partial"] is True
+
+
+def test_cli_default_limits_stop_the_kronecker_knit(capsys):
+    # the Kronecker algebra has indecomposables of every dimension, so the
+    # default --max-dim must end the knit with exit 3 and a partial report
+    rc = main(["ar", "build", fixture_path("kronecker.alg")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "error: module of total dimension 35 exceeds --max-dim 32\n"
+    data = json.loads(captured.out)
+    assert data["partial"] is True
+    assert all(sum(v["dim_vector"]) <= 32 for v in data["ar_quiver"]["vertices"])
+
+
+NOT_POSITIVE = [
+    ("tilted certify", ["tilted", "certify", "a2.alg"], "--cap"),
+    ("cut enumerate", ["cut", "enumerate", "a2.alg"], "--cap"),
+    ("ar build", ["ar", "build", "a2.alg"], "--max-vertices"),
+    ("ar build", ["ar", "build", "a2.alg"], "--max-dim"),
+    ("quotient", ["quotient", "a2.alg", "--modules", "P_a"], "--max-dim"),
+    ("cut check", ["cut", "check", "a2.alg", "--modules", "P_a"], "--max-vertices"),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("prog,command,flag", NOT_POSITIVE)
+def test_cli_refuses_limits_that_are_not_positive(capsys, prog, command, flag, value):
+    # exit 2 with one usage error, as for any other input error
+    argv = [fixture_path(a) if a.endswith(".alg") else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"arquiver {prog}: error: argument {flag}: not a positive integer: '{value}'"
+    ]
 
 
 def test_cli_ar_dot(tmp_path, capsys):

@@ -147,6 +147,33 @@ def test_field_descriptors():
         QQ.parse("q")
 
 
+def test_rational_parse_gives_an_int_when_integral():
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert type(QQ.parse("-7")) is int and QQ.parse("-7") == -7
+    assert type(QQ.parse("1/2")) is Fraction and QQ.parse("1/2") == F(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(5)) is int
+
+
+def test_rational_inverse():
+    assert QQ.inv(2) == F(1, 2)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(F(-1, 3))) is int and QQ.inv(F(-1, 3)) == -3
+    assert QQ.inv(F(2, 3)) == F(3, 2)
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
+
+
+def test_prime_field_inverse():
+    f7 = PrimeField(7)
+    assert f7.inv(f7.from_int(3)) == f7.from_int(5)
+    for n in range(1, 7):
+        assert f7.from_int(n) * f7.inv(f7.from_int(n)) == f7.one
+    with pytest.raises(ZeroDivisionError):
+        f7.inv(f7.zero)
+
+
 # -- property tests against a dense reference elimination -------------------
 #
 # The reference below sweeps every column of every row, as elimination did
@@ -307,3 +334,87 @@ def test_empty_shapes_match_dense_reference():
             assert kernel_basis(m) == dense_kernel(m)
             assert solve(m, [field.one] * m.nrows) == dense_solve(m, [field.one] * m.nrows)
             assert RowSpace(m.ncols, m.data, field=field).rows == []
+
+
+# -- integral rationals are ints ---------------------------------------------
+#
+# An element of Q is an int when integral and a Fraction otherwise, so the
+# reference runs on the same matrix with every entry made a Fraction.  Equal
+# values compare equal across the two types, but 3 / 3 is the float 1.0 and
+# compares equal too, so every output entry's type is checked as well.
+
+
+def _exact(entries):
+    return all(type(e) in (int, Fraction) for e in entries)
+
+
+def _as_fractions(rows):
+    return [[Fraction(e) for e in row] for row in rows]
+
+
+@st.composite
+def mixed_rational_matrices(draw, max_rows=6, max_cols=7):
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "zero", "int", "fraction"]))
+        if kind == "zero":
+            return QQ.zero
+        if kind == "int":
+            # pivots other than +-1 as well
+            return draw(st.sampled_from([1, -1, 2, -2, 3, -4, 6]))
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        rows[-1] = [2 * a for a in rows[0]]
+    return Matrix(nrows, ncols, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_rational_matrices(), st.data())
+def test_mixed_int_fraction_elimination_matches_reference(m, data):
+    ref = Matrix(m.nrows, m.ncols, _as_fractions(m.data))
+    red, pivots = rref(m)
+    assert (red.data, pivots) == dense_rref(ref)
+    assert _exact(a for row in red.data for a in row)
+
+    basis = kernel_basis(m)
+    assert basis == dense_kernel(ref)
+    assert _exact(a for v in basis for a in v)
+
+    b = [data.draw(st.sampled_from([0, 1, -3, Fraction(1, 2)])) for _ in range(m.nrows)]
+    for rhs in (b, m.apply([1] * m.ncols)):
+        x = solve(m, rhs)
+        assert x == dense_solve(ref, [Fraction(e) for e in rhs])
+        assert x is None or _exact(x)
+
+    space = RowSpace(m.ncols, m.data)
+    assert (space.rows, space.pivots) == dense_rowspace(m.ncols, ref.data)
+    assert _exact(a for row in space.rows for a in row)
+    assert _exact(space.reduce([3] * m.ncols))
+
+
+def _knit_entries(arq):
+    for v in arq.vertices.values():
+        for mat in v.module.mats.values():
+            yield from (a for row in mat.data for a in row)
+    for maps in arq.arrow_maps.values():
+        for f in maps:
+            for mat in f.mats.values():
+                yield from (a for row in mat.data for a in row)
+
+
+@pytest.mark.parametrize(
+    "name", ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg", "D4"]
+)
+def test_knit_holds_no_float(name):
+    from arquiver.algebra import build_basis, parse_presentation
+    from arquiver.knitting import knit
+    from tests.conftest import load_algebra
+    from tests.test_knitting import D4_TEXT
+
+    alg = build_basis(parse_presentation(D4_TEXT)) if name == "D4" else load_algebra(name)
+    entries = list(_knit_entries(knit(alg)))
+    assert entries and _exact(entries)
