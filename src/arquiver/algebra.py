@@ -170,7 +170,10 @@ def _parse_relation_expr(expr, quiver, field, line_no):
             raise InputSyntaxError(f"empty term in relation: {expr!r}", line_no)
         coeff = field.one
         if _SCALAR.match(factors[0]):
-            coeff = field.parse(factors[0])
+            try:
+                coeff = field.parse(factors[0])
+            except ValueError as exc:
+                raise InputSyntaxError(str(exc), line_no) from None
             factors = factors[1:]
         if not factors:
             raise InputSyntaxError("relation term is a bare scalar", line_no)

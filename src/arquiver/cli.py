@@ -17,7 +17,6 @@ from .errors import (
     InputSyntaxError,
     LimitExceeded,
     NotFiniteDimensional,
-    PreconditionError,
 )
 from .formats import (
     algebra_summary,
@@ -225,12 +224,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except InputSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotFiniteDimensional, LimitExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
 from .errors import CapExceeded, InternalError, LimitExceeded, PreconditionError
 from .graph import closure, components
-from .knitting import ARQuiver, knit
+from .knitting import DEFAULT_MAX_DIM, DEFAULT_MAX_VERTICES, ARQuiver, knit
 from .linalg import Matrix, RowSpace, kernel_basis, rank
 from .modules import (
     Module,
@@ -23,7 +23,6 @@ from .modules import (
     find_isomorphism,
     is_sincere,
     pdim_le_1,
-    projective_module,
     sincere_faithful,
 )
 
@@ -179,13 +178,20 @@ class SliceSectionResult:
 
 
 def _connected_in(arq, cut):
-    cut = set(cut)
-    adj = {n: set() for n in cut}
-    for (s, t) in arq.arrows:
-        if s in cut and t in cut:
-            adj[s].add(t)
-            adj[t].add(s)
-    return closure([sorted(cut)[0]], adj) == cut
+    inside = [(s, t) for (s, t) in arq.arrows if s in cut and t in cut]
+    return len(components(sorted(cut), inside)) == 1
+
+
+def _is_section(arq, cut):
+    """The one-per-orbit definition of a section, inside the component of
+    the quiver that holds the vertex set ``cut``; purely combinatorial."""
+    comp = next((set(c) for c in components(arq.names(), arq.arrows) if cut <= set(c)), None)
+    if comp is None or not _connected_in(arq, cut) or _cycle_inside(arq, cut):
+        return False
+    if any(len(set(o) & cut) != 1 for o in arq.tau_orbits() if set(o) & comp):
+        return False
+    inside = [(s, t) for (s, t) in arq.arrows if s in comp and t in comp]
+    return _convex(cut, comp, inside)
 
 
 def is_slice_section(arq, cut):
@@ -193,33 +199,10 @@ def is_slice_section(arq, cut):
 
     Slice: a cut that is sincere and convex in ind A, with convexity read
     from the support of rad^1 (no radical powers, no path search).  Section:
-    the one-per-orbit definition inside the ambient component.
+    ``_is_section``.
     """
     cut = set(cut)
-    # section: purely combinatorial
-    section = True
-    comp = None
-    for c in components(arq.names(), arq.arrows):
-        if cut <= set(c):
-            comp = c
-            break
-    if comp is None:
-        section = False
-    else:
-        if not _connected_in(arq, cut):
-            section = False
-        elif _cycle_inside(arq, cut):
-            section = False
-        else:
-            orbits = [o for o in arq.tau_orbits() if set(o) & set(comp)]
-            for o in orbits:
-                if len(set(o) & cut) != 1:
-                    section = False
-                    break
-            if section:
-                comp = set(comp)
-                inside = [(s, t) for (s, t) in arq.arrows if s in comp and t in comp]
-                section = _convex(cut, comp, inside)
+    section = _is_section(arq, cut)
     if arq.abstract:
         return SliceSectionResult(None, section)
     cut_ok, _ = is_cut(arq, cut)
@@ -439,7 +422,9 @@ def _sub_presentation(pres, vertices):
     return AlgebraPresentation(quiver, relations, pres.field)
 
 
-def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
+def certify_tilted(
+    alg, arq=None, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM, cap=10**6
+):
     """Decide tiltedness by the iff criterion: A is tilted iff its AR quiver
     has a faithful cut on which Hom(X, tau Y) vanishes.
 
@@ -469,14 +454,9 @@ def certify_tilted(alg, arq=None, max_vertices=None, max_dim=None, cap=10**6):
             verdict = "REFUTED_BY_ENUMERATION"
         return Certificate(verdict=verdict, blocks=blocks)
 
-    kwargs = {}
-    if max_vertices is not None:
-        kwargs["max_vertices"] = max_vertices
-    if max_dim is not None:
-        kwargs["max_dim"] = max_dim
     try:
         if arq is None:
-            arq = knit(alg, **kwargs)
+            arq = knit(alg, max_vertices=max_vertices, max_dim=max_dim)
         return _first_witness(arq, cap)
     except (LimitExceeded, CapExceeded) as exc:
         return Certificate(verdict="NOT_CERTIFIED", limit=str(exc))
@@ -654,8 +634,7 @@ def quotient_by_cut(alg, arq, cut, cap=10**6):
     # preservation for lifted projectives
     tau_ok = True
     proj_ok = True
-    b_projs = {v: projective_module(b, v) for v in b.quiver.vertices}
-    for orig_name, m_b, name_b in zip(cut, lifted, lifted_names):
+    for orig_name, name_b in zip(cut, lifted_names):
         if arq.vertices[orig_name].is_projective:
             if not arq_b.vertices[name_b].is_projective:
                 proj_ok = False
@@ -696,36 +675,29 @@ def cut_analysis(arq, cut):
         "violations": [v.to_json() for v in violations],
     }
     if arq.abstract:
-        out["hom_tau"] = None
-        out["sincere"] = None
-        out["faithful"] = None
-        out["annihilator"] = None
-        out["convexity"] = None
-        ss = is_slice_section(arq, cut)
-        out["slice"] = None
-        out["section"] = ss.section
-        return out
-    ht = hom_tau_test(arq, cut)
-    mods = [arq.module_of(n) for n in sorted(set(cut))]
-    ann = annihilator(mods)
-    conv = convexity_checks(arq, cut)
+        out.update(dict.fromkeys(["hom_tau", "sincere", "faithful", "annihilator", "convexity"]))
+    else:
+        ht = hom_tau_test(arq, cut)
+        mods = [arq.module_of(n) for n in sorted(set(cut))]
+        ann = annihilator(mods)
+        conv = convexity_checks(arq, cut)
+        out["hom_tau"] = {
+            "forward": ht.forward,
+            "backward": ht.backward,
+            "all_zero": ht.all_zero,
+        }
+        out["sincere"] = is_sincere(mods)
+        out["faithful"] = not ann
+        out["annihilator"] = {
+            "dimension": len(ann),
+            "generators": [arq.alg.element_label(g) for g in ann],
+        }
+        out["convexity"] = {
+            "weakly_convex": conv.weakly_convex,
+            "convex_in_ind": conv.convex_in_ind,
+            "acyclic": conv.acyclic,
+        }
     ss = is_slice_section(arq, cut)
-    out["hom_tau"] = {
-        "forward": ht.forward,
-        "backward": ht.backward,
-        "all_zero": ht.all_zero,
-    }
-    out["sincere"] = is_sincere(mods)
-    out["faithful"] = not ann
-    out["annihilator"] = {
-        "dimension": len(ann),
-        "generators": [arq.alg.element_label(g) for g in ann],
-    }
-    out["convexity"] = {
-        "weakly_convex": conv.weakly_convex,
-        "convex_in_ind": conv.convex_in_ind,
-        "acyclic": conv.acyclic,
-    }
     out["slice"] = ss.slice
     out["section"] = ss.section
     return out

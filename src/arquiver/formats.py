@@ -9,7 +9,7 @@ import json
 import re
 
 from .errors import InputSyntaxError
-from .knitting import ARQuiver, abstract_quiver
+from .knitting import abstract_quiver
 
 
 def is_algebra_file(text):
@@ -87,17 +87,13 @@ def export_translation_quiver(arq):
 # -- algebra files -----------------------------------------------------------
 
 
-def format_scalar(field, c):
-    return field.format(c)
-
-
 def format_relation(field, relation):
     parts = []
     for idx, (c, p) in enumerate(relation.terms):
         word = "*".join(p.arrows)
         neg = str(c).startswith("-")
         mag = -c if neg else c
-        body = word if mag == field.one else f"{format_scalar(field, mag)}*{word}"
+        body = word if mag == field.one else f"{field.format(mag)}*{word}"
         if idx == 0:
             parts.append(("-" if neg else "") + body)
         else:

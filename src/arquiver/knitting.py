@@ -50,9 +50,8 @@ class MeshRecord:
 class ARQuiver:
     """Translation quiver of indecomposables (or a combinatorial window)."""
 
-    def __init__(self, alg=None, abstract=False):
+    def __init__(self, alg=None):
         self.alg = alg
-        self.abstract = abstract
         self.complete = False
         self.vertices = {}
         self.arrows = {}
@@ -66,6 +65,11 @@ class ARQuiver:
         self._rad_powers = None
 
     # -- structure access --------------------------------------------------
+
+    @property
+    def abstract(self):
+        """Whether the quiver is combinatorial, with no module data."""
+        return self.alg is None
 
     def names(self):
         return list(self.vertices)
@@ -354,17 +358,14 @@ def nonzero_path_exists(arq, x, y, via=None, allowed=None):
     permitted = set(names) if allowed is None else set(allowed) | {x, y}
     field = arq.alg.field
 
-    def empty_state():
-        return {}
-
-    state = empty_state()
+    state = {}
     hs_xx = arq.hom_space(x, x)
     init = RowSpace(hs_xx.dim, field=field)
     init.add(hs_xx.coords(ModuleMap.identity(arq.module_of(x))))
     state[(x, False)] = init
     bound = arq.harada_sai_bound()
     for k in range(1, bound + 1):
-        nxt = empty_state()
+        nxt = {}
         for (zp, flag), space in state.items():
             if space.dim == 0:
                 continue
@@ -419,15 +420,13 @@ def path_classify(path, arq):
             continue
         if status == "zero":
             continue
-        if tnext == path[i - 1]:
-            sectional = False
         # an irreducible map tau X_{i+1} (+) X_{i-1} -> X_i must exist
         if tnext == path[i - 1]:
+            sectional = False
             if arq.mult(path[i - 1], path[i]) < 2:
                 presectional = False
-        else:
-            if arq.mult(tnext, path[i]) < 1 or arq.mult(path[i - 1], path[i]) < 1:
-                presectional = False
+        elif arq.mult(tnext, path[i]) < 1 or arq.mult(path[i - 1], path[i]) < 1:
+            presectional = False
     if undecided:
         presectional = None
     return PathClassification(sectional, presectional)
@@ -441,7 +440,7 @@ def simple_arrow_paths(arq, max_len, start=None):
     for _ in range(max_len):
         nxt = []
         for p in frontier:
-            for (s, t) in arq.arrows_from(p[-1]):
+            for _s, t in arq.arrows_from(p[-1]):
                 q = p + [t]
                 nxt.append(q)
                 out.append(q)
@@ -473,20 +472,9 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
 
     pending = deque()
 
-    def get_or_add(module, canonical=None, is_proj=False, is_inj=False):
-        """(name, iso): the vertex of ``module``, registered under a new name
-        if it has none, and an isomorphism from the vertex module onto
-        ``module`` (the identity for a module registered here).
-
-        ``canonical`` names P_v or I_v.  Those are all registered first, so a
-        later module that matches no vertex is neither projective nor
-        injective.
-        """
-        if module.total_dim == 0:
-            raise PreconditionError("attempted to register the zero module")
-        name, iso = arq.find_vertex(module)
-        if name is not None:
-            return name, iso
+    def register(module, canonical=None, is_proj=False, is_inj=False):
+        """Name of ``module``, registered as a new vertex within the limits;
+        ``canonical`` names P_v or I_v."""
         if module.total_dim > max_dim:
             raise LimitExceeded(
                 f"module of total dimension {module.total_dim} exceeds --max-dim {max_dim}",
@@ -499,18 +487,36 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         name = assign_name(module, canonical)
         arq.vertices[name] = ARVertex(name, module, is_proj, is_inj, module.dim_vector)
         pending.append(name)
-        return name, ModuleMap.identity(module)
+        return name
 
+    def get_or_add(module):
+        """(name, iso): the vertex of ``module``, registered under a new name
+        if it has none, and an isomorphism from the vertex module onto
+        ``module`` (the identity for a module registered here)."""
+        if module.total_dim == 0:
+            raise PreconditionError("attempted to register the zero module")
+        name, iso = arq.find_vertex(module)
+        if name is not None:
+            return name, iso
+        return register(module), ModuleMap.identity(module)
+
+    # P_v and I_v come first, so a later module that matches no vertex is
+    # neither projective nor injective.  They need no vertex search: the
+    # P_v are pairwise non-isomorphic, and so are the I_v, so an I_v is
+    # either isomorphic to a P_w, and flags its vertex, or new.
+    matched = set()
     for v in alg.quiver.vertices:
         p = cans[v][0]
-        is_inj = any(
-            p.dim_vector == i.dim_vector and find_isomorphism(p, i) is not None
-            for _p, i, _s in cans.values()
-        )
-        get_or_add(p, f"P_{v}", True, is_inj)
-    # an injective isomorphic to a projective finds the projective's vertex
+        hits = {
+            w
+            for w, (_p, i, _s) in cans.items()
+            if p.dim_vector == i.dim_vector and find_isomorphism(p, i) is not None
+        }
+        matched |= hits
+        register(p, f"P_{v}", True, bool(hits))
     for v in alg.quiver.vertices:
-        get_or_add(cans[v][1], f"I_{v}", False, True)
+        if v not in matched:
+            register(cans[v][1], f"I_{v}", False, True)
 
     def record_arrow(src, tgt, fmap):
         """Record an irreducible map src -> tgt, ``fmap`` read on src's vertex module."""
@@ -579,7 +585,7 @@ def abstract_quiver(vertex_specs, arrow_specs, tau_pairs):
     Module-dependent queries refuse the result; is_cut and the sectional
     part of path classification accept it.
     """
-    arq = ARQuiver(alg=None, abstract=True)
+    arq = ARQuiver()
     for name, proj, inj, boundary in vertex_specs:
         if name in arq.vertices:
             raise InputSyntaxError(f"duplicate vertex {name!r}")

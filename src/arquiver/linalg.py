@@ -176,9 +176,11 @@ class PrimeField:
         return FpElement(pow(x.value, self.p - 2, self.p), self.p)
 
     def parse(self, text):
+        """An integer n, or a quotient a/b read as a * b^-1 with b a unit mod p."""
+        num, den = text.split("/", 1) if "/" in text else (text, "1")
         try:
-            return FpElement(int(text), self.p)
-        except ValueError as exc:
+            return self.from_int(int(num)) * self.inv(self.from_int(int(den)))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an F_{self.p} scalar: {text!r}") from exc
 
     def format(self, x):

@@ -202,7 +202,7 @@ def projective_sum(alg, verts):
     for a in alg.quiver.arrows.values():
         m = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
         ai = alg.arrow_index(a.label)
-        for s, entry in enumerate(layout):
+        for entry in layout:
             src_off, src_ks = entry[a.source]
             tgt_off, tgt_ks = entry[a.target]
             tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
@@ -361,35 +361,25 @@ def quotient_by_subspaces(m, subspaces):
     for a in alg.quiver.arrows.values():
         mats[a.label] = proj[a.target] * m.mats[a.label] * sect[a.source]
     q = Module(alg, dims, mats, check=False)
-    projection = ModuleMap(m, q, proj, check=False)
-    section_mats = sect
-    return q, projection, section_mats
+    return q, ModuleMap(m, q, proj, check=False), sect
 
 
 def cokernel_module(f):
     """Cokernel of a map; returns (C, projection, section matrices)."""
-    field = f.field
-    subspaces = {}
-    for v in f.src.alg.quiver.vertices:
-        m = f.mats[v]
-        space = RowSpace(m.nrows, field=field)
-        for j in range(m.ncols):
-            space.add([m.data[i][j] for i in range(m.nrows)])
-        subspaces[v] = space
+    subspaces = {v: RowSpace(m.nrows, zip(*m.data), field=f.field) for v, m in f.mats.items()}
     return quotient_by_subspaces(f.tgt, subspaces)
 
 
 def radical_subspaces(m):
     """Per-vertex RowSpace of rad M = (arrow ideal) . M."""
-    out = {}
-    for v in m.alg.quiver.vertices:
-        space = RowSpace(m.dims[v], field=m.field)
-        for a in m.alg.quiver.by_target[v]:
-            mat = m.mats[a.label]
-            for j in range(mat.ncols):
-                space.add([mat.data[i][j] for i in range(mat.nrows)])
-        out[v] = space
-    return out
+    return {
+        v: RowSpace(
+            m.dims[v],
+            [col for a in m.alg.quiver.by_target[v] for col in zip(*m.mats[a.label].data)],
+            field=m.field,
+        )
+        for v in m.alg.quiver.vertices
+    }
 
 
 def radical_submodule(m):
@@ -402,18 +392,8 @@ def socle_submodule(m):
     """soc M: joint kernel of all arrows out of each vertex."""
     cols = {}
     for v in m.alg.quiver.vertices:
-        arrows = m.alg.quiver.by_source[v]
-        if not arrows:
-            cols[v] = [
-                [m.field.one if i == j else m.field.zero for i in range(m.dims[v])]
-                for j in range(m.dims[v])
-            ]
-            continue
-        stacked_rows = []
-        for a in arrows:
-            stacked_rows.extend(m.mats[a.label].data)
-        stacked = Matrix(len(stacked_rows), m.dims[v], stacked_rows, m.field)
-        cols[v] = kernel_basis(stacked)
+        stacked = [row for a in m.alg.quiver.by_source[v] for row in m.mats[a.label].data]
+        cols[v] = kernel_basis(Matrix(len(stacked), m.dims[v], stacked, m.field))
     return submodule_from_columns(m, cols)
 
 
@@ -597,7 +577,8 @@ def is_isomorphic(x, y):
 
     ``find_isomorphism`` certifies an isomorphism outright, and its failure
     refutes one when End(X) is local; otherwise both sides are decomposed
-    and matched piecewise.
+    and matched piecewise, again by ``find_isomorphism``, which is complete
+    on the pieces since ``decompose_with_inclusions`` certified each local.
     """
     if x.dim_vector != y.dim_vector:
         return False
@@ -613,7 +594,7 @@ def is_isomorphic(x, y):
     for piece, _ in dx:
         hit = None
         for i, other in enumerate(remaining):
-            if is_isomorphic(piece, other):
+            if find_isomorphism(piece, other) is not None:
                 hit = i
                 break
         if hit is None:
@@ -692,11 +673,10 @@ def decompose_with_inclusions(m):
 
 def decompose(m):
     """Direct-sum decomposition [(indecomposable, multiplicity), ...]."""
-    pieces = decompose_with_inclusions(m)
     grouped = []
-    for piece, _ in pieces:
+    for piece, _ in decompose_with_inclusions(m):
         for entry in grouped:
-            if is_isomorphic(entry[0], piece):
+            if find_isomorphism(entry[0], piece) is not None:
                 entry[1] += 1
                 break
         else:
@@ -1038,7 +1018,7 @@ def almost_split_sequence(m):
     g = hom_k.from_coords(full)
 
     # pushout of 0 -> K -> P0 -> M -> 0 along g: K -> tau
-    total, (i1, i2), _projs = direct_sum([tau, pres.p0])
+    total, (i1, _i2), _projs = direct_sum([tau, pres.p0])
     h_mats = {}
     for v in m.alg.quiver.vertices:
         rows = []

@@ -1,10 +1,11 @@
-"""Abstract finite-dimensional algebras given by structure constants.
+"""Polynomial roots, and abstract algebras given by structure constants.
 
-Used for endomorphism algebras End(M) and quotient algebras before a
-quiver presentation is recovered.  The radical is computed through the
-trace form of the regular representation, which is exact in
-characteristic 0 and over F_p once p exceeds the dimension; anything
-smaller is refused rather than silently wrong.
+Production code uses only ``matrix_min_poly``, ``rational_roots`` and the
+F_p root finder ``_fp_roots``, for the eigenvalues of
+``modules._eigenvalues``.  ``StructureAlgebra`` and what builds on it is a
+trace-form reference that no command reaches; tests use it as an
+independent oracle for End(M).  Its radical is exact in characteristic 0
+and over F_p once p exceeds the dimension; a smaller p is refused.
 """
 
 from .errors import (
@@ -357,7 +358,6 @@ def quotient_algebra(alg, ideal_rows):
     span = RowSpace(alg.dim, ideal_rows, field=alg.field)
     pivot_set = set(span.pivots)
     reps = [i for i in range(alg.dim) if i not in pivot_set]
-    pos = {i: k for k, i in enumerate(reps)}
 
     def project(x):
         red = span.reduce(x)
@@ -474,7 +474,7 @@ def primitive_orthogonal_idempotents(alg):
     if not rad_rows:
         # semisimple: must itself be commutative split to be basic
         return split_commutative_semisimple(alg)
-    quot, project, reps = quotient_algebra(alg, rad_rows)
+    quot, _project, reps = quotient_algebra(alg, rad_rows)
     bars = split_commutative_semisimple(quot)
 
     def lift_coords(xbar):
@@ -559,7 +559,7 @@ def block_count(alg):
     z = StructureAlgebra(table, coords(alg.unit), alg.field)
     rad_rows = z.radical()
     if rad_rows:
-        zq, project, _ = quotient_algebra(z, rad_rows)
+        zq, _project, _ = quotient_algebra(z, rad_rows)
     else:
         zq = z
     return len(split_commutative_semisimple(zq))

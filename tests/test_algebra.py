@@ -47,6 +47,36 @@ def test_parse_reports_line_numbers():
         pytest.fail("expected a syntax error")
 
 
+README_RELATION = """
+field F 5
+vertex a
+vertex b
+vertex c
+arrow f: a -> b
+arrow g: b -> c
+arrow h: a -> b
+relation 2*g*f - 1/3*g*h
+"""
+
+
+def test_prime_field_reads_a_quotient_scalar_as_a_product_with_an_inverse():
+    # 1/3 = 2 in F_5, so the relation reads 2*g*f - 2*g*h
+    pres = parse_presentation(README_RELATION)
+    (rel,) = pres.relations
+    assert [(c.value, "*".join(p.arrows)) for c, p in rel.terms] == [(2, "g*f"), (3, "g*h")]
+    assert build_basis(pres).dim == 7
+
+
+@pytest.mark.parametrize(
+    "field,scalar",
+    [("Q", "1/0"), ("F 2", "1/2"), ("F 5", "3/10")],
+)
+def test_a_scalar_that_does_not_parse_names_its_line(field, scalar):
+    text = README_RELATION.replace("F 5", field).replace("1/3", scalar)
+    with pytest.raises(InputSyntaxError, match=f"line 9: not an? .*scalar: '{scalar}'"):
+        parse_presentation(text)
+
+
 def test_parse_rejects_short_relation():
     text = "field Q\nvertex a\nvertex b\narrow f: a -> b\nrelation f\n"
     with pytest.raises(InputSyntaxError):

@@ -136,6 +136,20 @@ def test_cli_algebra_check_bad_file(tmp_path, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("field,scalar", [("Q", "1/0"), ("F 2", "1/2")])
+def test_cli_refuses_a_scalar_that_does_not_parse(tmp_path, capsys, field, scalar):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(
+        f"field {field}\nvertex a\nvertex b\nvertex c\narrow f: a -> b\n"
+        f"arrow g: b -> c\narrow h: a -> b\nrelation g*f - {scalar}*g*h\n"
+    )
+    rc = main(["algebra", "check", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: line 8: ") and scalar in err
+
+
 def test_cli_algebra_check_infinite(tmp_path, capsys):
     loop = tmp_path / "loop.alg"
     loop.write_text("field Q\nvertex a\narrow x: a -> a\n")

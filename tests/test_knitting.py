@@ -300,15 +300,30 @@ def test_local_selfinjective_loop_knit():
     assert set(arq.arrows) == {("S_a", "P_a"), ("P_a", "S_a")}
 
 
+A5_LINEAR_TEXT = "field Q\n" + "".join(f"vertex v{i}\n" for i in range(1, 6)) + "".join(
+    f"arrow a{i}: v{i} -> v{i + 1}\n" for i in range(1, 5)
+)
+
+CYCLE6_TEXT = (
+    "field Q\n"
+    + "".join(f"vertex v{i}\n" for i in range(6))
+    + "".join(f"arrow a{i}: v{i} -> v{(i + 1) % 6}\n" for i in range(6))
+    + "radical_square_zero\n"
+)
+
+
 @pytest.mark.parametrize(
     "text",
     [(FIXTURES / "cycle4_rad2.alg").read_text(), (FIXTURES / "b_a3.alg").read_text(),
-     D4_TEXT, SQUARE_TEXT, LOOP_TEXT],
-    ids=["cycle4", "b_a3", "D4", "SQUARE", "LOOP"],
+     D4_TEXT, SQUARE_TEXT, LOOP_TEXT, (FIXTURES / "a2.alg").read_text(),
+     (FIXTURES / "a3_line.alg").read_text(), (FIXTURES / "cycle3_rad2.alg").read_text(),
+     A5_LINEAR_TEXT, CYCLE6_TEXT],
+    ids=["cycle4", "b_a3", "D4", "SQUARE", "LOOP", "a2", "a3_line", "cycle3", "A5_linear",
+         "cycle6"],
 )
 def test_projective_and_injective_flags_match_isomorphism_tests(text):
     # knit flags P_v and I_v at registration only (each of these algebras
-    # has a projective-injective); test every vertex against every
+    # but D4 has a projective-injective); test every vertex against every
     # canonical projective and injective
     alg = build_basis(parse_presentation(text))
     arq = knit(alg)
@@ -316,6 +331,17 @@ def test_projective_and_injective_flags_match_isomorphism_tests(text):
     for vert in arq.vertices.values():
         assert vert.is_projective == any(is_isomorphic(vert.module, p) for p, _i, _s in cans)
         assert vert.is_injective == any(is_isomorphic(vert.module, i) for _p, i, _s in cans)
+    if text is not D4_TEXT:
+        assert any(v.is_projective and v.is_injective for v in arq.vertices.values())
+
+
+def test_a_partial_knit_flags_a_projective_injective_at_registration():
+    # the vertex limit stops the knit before any I_v is registered
+    alg = build_basis(parse_presentation((FIXTURES / "cycle4_rad2.alg").read_text()))
+    with pytest.raises(LimitExceeded) as info:
+        knit(alg, max_vertices=1)
+    (vert,) = info.value.partial.vertices.values()
+    assert (vert.name, vert.is_projective, vert.is_injective) == ("P_a", True, True)
 
 
 # sha256 prefixes of every arrow map's matrices and of every mesh's (tau,

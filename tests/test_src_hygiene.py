@@ -1,0 +1,99 @@
+"""Static hygiene of the package source: no unused imports, no dead locals.
+
+Walks ``src/arquiver`` with ``ast``.  An import is unused when its bound
+name is never read in the module; ``__init__.py`` re-exports, so it is
+exempt.  A local is dead when a function assigns it (by ``=``, augmented
+assignment, a ``for`` or ``with`` target or tuple unpacking) and neither
+the function nor any function nested in it reads it.  Names that start
+with ``_`` are exempt from both checks, which is how an ignored value is
+marked.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "arquiver"
+
+
+def _reads(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body, not descending into nested scopes."""
+    stack = [node for node in func.body if not isinstance(node, _SCOPES)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node) if not isinstance(child, _SCOPES))
+
+
+def unused_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    reads = _reads(tree)
+    return [(line, name) for name, line in bound.items() if name not in reads and not name.startswith("_")]
+
+
+def dead_locals(tree):
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = set()
+        stores = {}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.id, node.lineno)
+        reads = _reads(func)
+        out.extend(
+            (line, name)
+            for name, line in stores.items()
+            if name not in reads and name not in shared and not name.startswith("_")
+        )
+    return out
+
+
+def _findings(check, skip_init):
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if skip_init and path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{line}: {name}" for line, name in sorted(check(tree)))
+    return found
+
+
+def test_no_unused_imports():
+    assert _findings(unused_imports, skip_init=True) == []
+
+
+def test_no_dead_locals():
+    assert _findings(dead_locals, skip_init=False) == []
+
+
+def test_the_checks_see_what_they_look_for():
+    tree = ast.parse(
+        "import os\n"
+        "from x import y as z, _w\n"
+        "def f(a):\n"
+        "    b, _c = a\n"
+        "    for i, j in a:\n"
+        "        print(j)\n"
+        "    def g():\n"
+        "        nonlocal b\n"
+        "        b = 1\n"
+        "    k = [m for m in a]\n"
+        "    return z\n"
+    )
+    assert sorted(unused_imports(tree)) == [(1, "os")]
+    assert sorted(dead_locals(tree)) == [(4, "b"), (5, "i"), (10, "k")]
