@@ -281,6 +281,10 @@ class AlgebraBasis:
         self.idempotent_index = {
             p.source: i for i, p in enumerate(basis) if p.length == 0
         }
+        # every arrow is a basis path: the ideal lies in the paths of length >= 2
+        self._arrow_index = {p.arrows[0]: i for i, p in enumerate(basis) if p.length == 1}
+        # vertex -> Ae_v as (paths, arrow entries), filled by modules.projective_sum
+        self.projectives = {}
         self._opposite = None
 
     # -- element helpers ------------------------------------------------
@@ -305,8 +309,7 @@ class AlgebraBasis:
         return x
 
     def arrow_index(self, label):
-        a = self.quiver.arrows[label]
-        return self.index[Path(1, (label,), a.source, a.target)]
+        return self._arrow_index[label]
 
     def multiply(self, x, y):
         """Product of two coordinate vectors, in normal form."""
@@ -368,13 +371,17 @@ class AlgebraBasis:
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.table[i][j]
+                row_j = self.table[j]
                 for k in range(self.dim):
+                    jk = row_j[k]
+                    if not ij and not jk:
+                        continue    # both sides are zero
                     left = {}
                     for m, c in ij:
                         for t, d in self.table[m][k]:
                             left[t] = left.get(t, self.field.zero) + c * d
                     right = {}
-                    for m, c in self.table[j][k]:
+                    for m, c in jk:
                         for t, d in self.table[i][m]:
                             right[t] = right.get(t, self.field.zero) + c * d
                     left = {t: c for t, c in left.items() if c}

@@ -39,14 +39,21 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputSyntaxError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputSyntaxError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -210,10 +217,9 @@ def _run(args):
             "projectives_remain_projective": result.projectives_remain_projective,
             "certificate": result.certificate.to_json(),
         }
-        _emit(render_report(report), None)
         if args.emit_algebra:
-            with open(args.emit_algebra, "w", encoding="utf-8") as fh:
-                fh.write(emit_algebra_file(result.presentation))
+            _write(args.emit_algebra, emit_algebra_file(result.presentation))
+        _emit(render_report(report), None)
         return EXIT_OK
 
     raise InputSyntaxError(f"unhandled command {args.command}")

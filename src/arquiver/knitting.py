@@ -302,8 +302,9 @@ class ARQuiver:
         search is complete here: every vertex module is indecomposable,
         so its endomorphism ring is local.
         """
+        dv = module.dim_vector
         for n, v in self.vertices.items():
-            if v.dim_vector == module.dim_vector:
+            if v.dim_vector == dv:
                 iso = find_isomorphism(v.module, module)
                 if iso is not None:
                     return n, iso
@@ -524,6 +525,12 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         arq.arrows[self_key] = arq.arrows.get(self_key, 0) + 1
         arq.arrow_maps.setdefault(self_key, []).append(fmap)
 
+    # Each translate is looked up once.  tau tau^-1 M = M and the vertices
+    # are pairwise non-isomorphic, so a vertex V found as tau^-1 M has
+    # tau V = M, and a vertex T = tau X has tau^-1 T = X: the search on
+    # DTr V, or on TrD T, would return that name.
+    tau_of = {}             # V -> M, for V found as tau^-1 M
+    tau_inv_found = set()   # every T = tau X found so far
     while pending:
         name = pending.popleft()
         vert = arq.vertices[name]
@@ -536,18 +543,19 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
                     record_arrow(src, name, incl.compose(pinc).compose(iso))
         else:
             seq = almost_split_sequence(module)
-            tau_name, _iso = get_or_add(seq.tau)
+            tau_name = tau_of.get(name) or get_or_add(seq.tau)[0]
             arq.tau[name] = tau_name
+            tau_inv_found.add(tau_name)
             middle_counts = {}
             for piece, pinc in decompose_with_inclusions(seq.middle):
                 src, iso = get_or_add(piece)
                 record_arrow(src, name, seq.right.compose(pinc).compose(iso))
                 middle_counts[src] = middle_counts.get(src, 0) + 1
             arq.meshes[name] = MeshRecord(tau_name, sorted(middle_counts.items()))
-        if not vert.is_injective:
+        if not vert.is_injective and name not in tau_inv_found:
             ahead = translate(module, "backward")
             if ahead.total_dim:
-                get_or_add(ahead)
+                tau_of[get_or_add(ahead)[0]] = name
 
     verify_mesh_invariants(arq)
     arq.complete = True

@@ -16,6 +16,15 @@ Elimination skips zero entries: a pivot row is scaled and subtracted only
 over the columns where it is nonzero, from the pivot column on.  The
 systems met downstream are very sparse, and since the arithmetic is exact
 the result is the same as a full dense sweep with the same pivot rule.
+
+Rows belong to one matrix.  ``Matrix(...)`` copies the rows it is given
+and checks their shape, so rows from anywhere may be passed in.
+``Matrix.adopt`` takes the given rows as they are: only code that has
+just built them, in the right shape and held nowhere else, may hand rows
+over that way.  The operations here (products, sums, scalings,
+transposes, ``zeros``, ``identity``, ``rref``) do, as do the places in
+``modules`` that build a matrix row by row, so no result shares a row
+with an operand or with another matrix.
 """
 
 from bisect import bisect_left
@@ -213,9 +222,20 @@ class Matrix:
         self.field = field
 
     @classmethod
+    def adopt(cls, nrows, ncols, rows, field=QQ):
+        """The matrix made of ``rows`` themselves, with no copy or shape check:
+        the caller hands over fresh lists of the given shape."""
+        m = object.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.data = rows
+        m.field = field
+        return m
+
+    @classmethod
     def zeros(cls, nrows, ncols, field=QQ):
         z = field.zero
-        return cls(nrows, ncols, [[z] * ncols for _ in range(nrows)], field)
+        return cls.adopt(nrows, ncols, [[z] * ncols for _ in range(nrows)], field)
 
     @classmethod
     def identity(cls, n, field=QQ):
@@ -238,7 +258,7 @@ class Matrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("matrix addition shape mismatch")
-        return Matrix(
+        return Matrix.adopt(
             self.nrows,
             self.ncols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
@@ -249,7 +269,7 @@ class Matrix:
         return self + other.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix(self.nrows, self.ncols, [[c * a for a in row] for row in self.data], self.field)
+        return Matrix.adopt(self.nrows, self.ncols, [[c * a for a in row] for row in self.data], self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -271,7 +291,7 @@ class Matrix:
                         b = other_row[j]
                         if b:
                             out_row[j] = out_row[j] + a * b
-            return Matrix(self.nrows, other.ncols, out, self.field)
+            return Matrix.adopt(self.nrows, other.ncols, out, self.field)
         return NotImplemented
 
     def apply(self, vec):
@@ -289,10 +309,10 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(
+        return Matrix.adopt(
             self.ncols,
             self.nrows,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            [[row[j] for row in self.data] for j in range(self.ncols)],
             self.field,
         )
 
@@ -349,7 +369,7 @@ def rref(m):
         r += 1
         if r == m.nrows:
             break
-    return Matrix(m.nrows, m.ncols, data, m.field), pivots
+    return Matrix.adopt(m.nrows, m.ncols, data, m.field), pivots
 
 
 def rank(m):
@@ -392,7 +412,7 @@ def solve(m, b):
     """
     if len(b) != m.nrows:
         raise DimensionError("right-hand side length does not match row count")
-    aug = Matrix(m.nrows, m.ncols + 1, [row + [bb] for row, bb in zip(m.data, b)], m.field)
+    aug = Matrix.adopt(m.nrows, m.ncols + 1, [row + [bb] for row, bb in zip(m.data, b)], m.field)
     red, pivots = rref(aug)
     if m.ncols in pivots:
         return None

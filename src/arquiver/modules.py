@@ -41,6 +41,7 @@ class Module:
                 m = Matrix.zeros(self.dims[a.target], self.dims[a.source], self.field)
             self.mats[a.label] = m
         self.total_dim = sum(self.dims.values())
+        self.dim_vector = tuple(self.dims[v] for v in alg.quiver.vertices)
         if check:
             self._validate()
 
@@ -58,10 +59,6 @@ class Module:
                 acc = acc + self.path_action(p).scale(c)
             if not acc.is_zero():
                 raise PreconditionError(f"relation {rel!r} does not vanish on the module")
-
-    @property
-    def dim_vector(self):
-        return tuple(self.dims[v] for v in self.alg.quiver.vertices)
 
     def is_zero(self):
         return self.total_dim == 0
@@ -176,41 +173,63 @@ def simple_module(alg, v):
     return Module(alg, {v: 1}, {}, check=True)
 
 
+def _projective_piece(alg, v):
+    """(paths, entries) of Ae_v, built and relation-checked once per algebra.
+
+    paths[w] lists the algebra basis indices of the paths v -> w, which
+    index the basis of (Ae_v)_w, for each w with such a path; entries lists
+    the nonzero arrow matrix entries as (arrow label, row, column, value).
+    """
+    piece = alg.projectives.get(v)
+    if piece is None:
+        paths = {}
+        for k, p in enumerate(alg.basis):
+            if p.source == v:
+                paths.setdefault(p.target, []).append(k)
+        mats = {}
+        entries = []
+        for a in alg.quiver.arrows.values():
+            src_ks, tgt_ks = paths.get(a.source, []), paths.get(a.target, [])
+            m = Matrix.zeros(len(tgt_ks), len(src_ks), alg.field)
+            tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
+            products = alg.table[alg.arrow_index(a.label)]
+            for col, k in enumerate(src_ks):
+                for kk, c in products[k]:
+                    m.data[tgt_pos[kk]][col] = c
+                    entries.append((a.label, tgt_pos[kk], col, c))
+            mats[a.label] = m
+        # raises unless the relations vanish on Ae_v
+        Module(alg, {w: len(ks) for w, ks in paths.items()}, mats, check=True)
+        piece = alg.projectives[v] = (paths, entries)
+    return piece
+
+
 def projective_sum(alg, verts):
     """Direct sum of projectives Ae_v; returns (Module, layout).
 
     layout[s][w] = (offset, [algebra basis indices of paths verts[s] -> w])
-    giving the coordinate block of summand s inside M_w.
+    giving the coordinate block of summand s inside M_w; a nonempty path
+    list is the algebra's own, shared by every call, and only read.  Each
+    summand is the checked Ae_v of ``_projective_piece``, placed at its
+    offsets.
     """
-    paths_from = {}
-    for v in set(verts):
-        per_vertex = {w: [] for w in alg.quiver.vertices}
-        for k, p in enumerate(alg.basis):
-            if p.source == v:
-                per_vertex[p.target].append(k)
-        paths_from[v] = per_vertex
+    pieces = [_projective_piece(alg, v) for v in verts]
     dims = {w: 0 for w in alg.quiver.vertices}
     layout = []
-    for v in verts:
+    for paths, _entries in pieces:
         entry = {}
         for w in alg.quiver.vertices:
-            ks = paths_from[v][w]
+            ks = paths.get(w, [])
             entry[w] = (dims[w], ks)
             dims[w] += len(ks)
         layout.append(entry)
-    mats = {}
-    for a in alg.quiver.arrows.values():
-        m = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
-        ai = alg.arrow_index(a.label)
-        for entry in layout:
-            src_off, src_ks = entry[a.source]
-            tgt_off, tgt_ks = entry[a.target]
-            tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
-            for col, k in enumerate(src_ks):
-                for kk, c in alg.table[ai][k]:
-                    m.data[tgt_off + tgt_pos[kk]][src_off + col] = c
-        mats[a.label] = m
-    return Module(alg, dims, mats, check=True), layout
+    arrows = alg.quiver.arrows
+    mats = {a.label: Matrix.zeros(dims[a.target], dims[a.source], alg.field) for a in arrows.values()}
+    for (_paths, entries), entry in zip(pieces, layout):
+        for label, i, j, c in entries:
+            a = arrows[label]
+            mats[label].data[entry[a.target][0] + i][entry[a.source][0] + j] = c
+    return Module(alg, dims, mats, check=False), layout
 
 
 def projective_module(alg, v):
@@ -302,7 +321,7 @@ def submodule_from_columns(m, columns):
     spaces = {v: RowSpace(m.dims[v], columns.get(v, []), field=field) for v in alg.quiver.vertices}
     dims = {v: spaces[v].dim for v in alg.quiver.vertices}
     incl = {
-        v: Matrix(
+        v: Matrix.adopt(
             m.dims[v], dims[v], [[r[i] for r in spaces[v].rows] for i in range(m.dims[v])], field
         )
         for v in alg.quiver.vertices
@@ -428,7 +447,7 @@ def hom_basis(x, y):
                         row[offsets[v] + l * x.dims[v] + j] = row[offsets[v] + l * x.dims[v] + j] - ya.data[i][l]
                 if any(row):
                     rows.append(row)
-    mat = Matrix(len(rows), total, rows, field)
+    mat = Matrix.adopt(len(rows), total, rows, field)
     return [_unflatten(x, y, vec) for vec in kernel_basis(mat)]
 
 
@@ -438,7 +457,7 @@ def _unflatten(x, y, flat):
     off = 0
     for v in x.alg.quiver.vertices:
         nrows, ncols = y.dims[v], x.dims[v]
-        mats[v] = Matrix(
+        mats[v] = Matrix.adopt(
             nrows, ncols, [flat[off + i * ncols : off + (i + 1) * ncols] for i in range(nrows)], x.field
         )
         off += nrows * ncols
@@ -525,6 +544,8 @@ def end_radical_coords(m, basis):
     Were End(M) local with End/rad = k, Nakayama would make each step
     shrink, so a step that does not shrink refutes it.
     """
+    if len(basis) == 1:
+        return []       # End(M) = k, a field
     sizes = {v: d for v, d in m.dims.items() if d}
     v = min(sizes, key=sizes.get)
     lams = []

@@ -1,7 +1,8 @@
 import pytest
 
 from arquiver.algebra import Path, build_basis, parse_presentation
-from arquiver.errors import InputSyntaxError, NotFiniteDimensional
+from arquiver.errors import InadmissibleIdeal, InputSyntaxError, NotFiniteDimensional
+from tests.conftest import FIXTURES
 
 
 def test_parse_cycle4(alg_cycle4):
@@ -204,6 +205,29 @@ def test_opposite_reverses_arrows(alg_a2):
     op = alg_a2.opposite()
     (arrow,) = op.quiver.arrows.values()
     assert (arrow.source, arrow.target) == ("b", "a")
+
+
+@pytest.mark.parametrize(
+    "tamper,triple",
+    [
+        # e_a * alpha := alpha.  At (e_a, e_b, alpha) the product e_a * e_b
+        # is empty, but e_a * (e_b * alpha) = alpha: a triple with one empty
+        # product is compared
+        ((0, 2, [(2, 1)]), (0, 1, 2)),
+        # e_a * e_a := 2 e_a.  At (alpha, e_a, e_a) both products are
+        # nonempty: (alpha * e_a) * e_a = alpha but alpha * (e_a * e_a) = 2 alpha
+        ((0, 0, [(0, 2)]), (2, 0, 0)),
+    ],
+    ids=["one-product-empty", "both-products-nonempty"],
+)
+def test_associativity_check_finds_a_tampered_product(tamper, triple):
+    alg = build_basis(parse_presentation((FIXTURES / "a2.alg").read_text()))
+    assert [repr(p) for p in alg.basis] == ["e_a", "e_b", "alpha"]
+    i, j, product = tamper
+    alg.table[i][j] = product
+    with pytest.raises(InadmissibleIdeal) as info:
+        alg.check_associativity()
+    assert str(info.value).endswith(f"not associative at triple ({triple[0]},{triple[1]},{triple[2]})")
 
 
 def test_path_ordering_dataclass():

@@ -150,6 +150,39 @@ def test_cli_refuses_a_scalar_that_does_not_parse(tmp_path, capsys, field, scala
     assert err.startswith("error: line 8: ") and scalar in err
 
 
+def test_cli_refuses_an_algebra_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes("field Q\nvertex \u00e9\n".encode("latin-1"))
+    for argv in (["algebra", "check", str(bad)], ["ar", "build", str(bad)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
+        assert captured.err.splitlines() == [captured.err.strip()]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar", "build", fixture_path("a2.alg"), "--out"],
+        ["ar", "build", fixture_path("kronecker.alg"), "--max-vertices", "3", "--out"],
+        ["ar", "dot", fixture_path("a2.alg"), "--out"],
+        ["quotient", fixture_path("cycle4_rad2.alg"), "--modules", "P_b,S_b,P_d", "--emit-algebra"],
+    ],
+    ids=["ar-build", "ar-build-partial", "ar-dot", "quotient"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_refuses_an_output_path_that_cannot_be_written(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+    rc = main(argv + [str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.splitlines() == [captured.err.strip()]
+
+
 def test_cli_algebra_check_infinite(tmp_path, capsys):
     loop = tmp_path / "loop.alg"
     loop.write_text("field Q\nvertex a\narrow x: a -> a\n")

@@ -19,6 +19,7 @@ from arquiver.modules import (
     canonical_modules,
     direct_sum,
     end_algebra_analysis,
+    find_isomorphism,
     is_isomorphic,
     translate,
 )
@@ -90,14 +91,25 @@ def test_mesh_invariants_on_fixtures(arq_cycle4, arq_cycle3, arq_b, arq_a2):
         verify_mesh_invariants(arq)
 
 
-def test_knitted_tau_matches_translate(arq_cycle4):
-    for name in arq_cycle4.names():
-        vert = arq_cycle4.vertices[name]
-        if vert.is_projective:
-            assert name not in arq_cycle4.tau
-            continue
-        t = translate(vert.module, "forward")
-        assert is_isomorphic(t, arq_cycle4.module_of(arq_cycle4.tau[name]))
+def test_knitted_tau_matches_translate():
+    # the knit skips the vertex search on DTr V for a vertex V found as
+    # tau^-1 M, and on TrD T for T = tau X; translate every vertex both ways
+    # and match the result with the recorded vertex
+    for label in ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg",
+                  "D4 F 2", "E6 01001", "cycle6"]:
+        arq = knit(build_basis(parse_presentation(_text(label))))
+        tau_inv = arq.tau_inv
+        for name, vert in arq.vertices.items():
+            for direction, table, vanishes in [
+                ("forward", arq.tau, vert.is_projective),
+                ("backward", tau_inv, vert.is_injective),
+            ]:
+                t = translate(vert.module, direction)
+                if vanishes:
+                    assert name not in table and t.total_dim == 0, (label, name, direction)
+                else:
+                    iso = find_isomorphism(arq.module_of(table[name]), t)
+                    assert iso is not None, (label, name, direction)
 
 
 def test_depth_of_identity(arq_cycle4):
@@ -304,12 +316,17 @@ A5_LINEAR_TEXT = "field Q\n" + "".join(f"vertex v{i}\n" for i in range(1, 6)) + 
     f"arrow a{i}: v{i} -> v{i + 1}\n" for i in range(1, 5)
 )
 
-CYCLE6_TEXT = (
-    "field Q\n"
-    + "".join(f"vertex v{i}\n" for i in range(6))
-    + "".join(f"arrow a{i}: v{i} -> v{(i + 1) % 6}\n" for i in range(6))
-    + "radical_square_zero\n"
-)
+def cycle_text(n):
+    """The oriented n-cycle over Q with radical square zero."""
+    return (
+        "field Q\n"
+        + "".join(f"vertex v{i}\n" for i in range(n))
+        + "".join(f"arrow a{i}: v{i} -> v{(i + 1) % n}\n" for i in range(n))
+        + "radical_square_zero\n"
+    )
+
+
+CYCLE6_TEXT = cycle_text(6)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +372,33 @@ PINNED_KNITS = {
     "cycle4_rad2.alg": ("c5937fa52b1cd998", "c335b1f66bc6e801"),
     "D4": ("c1841009ef7ede21", "9dd836c2b25b86c7"),
     "SQUARE": ("0049c1214398fc18", "120225db6071c8bc"),
+    "E6 01001": ("098a3a936df2f6e6", "46fea4d2d16a9779"),
+    "E7 110011": ("79c4834edcb4365e", "f7061dda7a752cc4"),
+    "D7 000101": ("53ebed303fdf60fe", "710f4881a6ba5683"),
+    "A9 11011000": ("185ab4aefc549d35", "22ca370aab3d8b5c"),
+    "E6 01001 F 32003": ("d8d49433d31ce64c", "46fea4d2d16a9779"),
+    "cycle12": ("05c041f97fbd97c7", "78f633ba4a90bddc"),
 }
+
+
+def _text(label):
+    """The algebra of a label: a fixture file, D4 or SQUARE, ``cycle<n>``,
+    or ``<Dynkin type><rank> <orientation>``, optionally followed by a field
+    such as ``F 32003`` (``D4 F 2`` is D4 over F_2)."""
+    # imported here: tests.test_cut_references imports this module
+    from tests.test_cut_references import dynkin_text
+
+    if label.endswith(".alg"):
+        return (FIXTURES / label).read_text()
+    if label.startswith("cycle"):
+        return cycle_text(int(label[5:]))
+    head, _, rest = label.partition(" ")
+    if head in ("D4", "SQUARE"):
+        text, field = {"D4": D4_TEXT, "SQUARE": SQUARE_TEXT}[head], rest
+    else:
+        orientation, _, field = rest.partition(" ")
+        text = dynkin_text(head[0], int(head[1:]), orientation)
+    return text.replace("field Q", f"field {field}", 1) if field else text
 
 
 def _knit_digests(arq):
@@ -373,9 +416,7 @@ def _knit_digests(arq):
 
 @pytest.mark.parametrize("label", list(PINNED_KNITS))
 def test_arrow_maps_and_meshes_are_pinned(label):
-    texts = {"D4": D4_TEXT, "SQUARE": SQUARE_TEXT}
-    text = texts[label] if label in texts else (FIXTURES / label).read_text()
-    arq = knit(build_basis(parse_presentation(text)))
+    arq = knit(build_basis(parse_presentation(_text(label))))
     for (s, t), maps in arq.arrow_maps.items():
         assert len(maps) == arq.mult(s, t)
         for f in maps:

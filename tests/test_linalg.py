@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -418,3 +419,76 @@ def test_knit_holds_no_float(name):
     alg = build_basis(parse_presentation(D4_TEXT)) if name == "D4" else load_algebra(name)
     entries = list(_knit_entries(knit(alg)))
     assert entries and _exact(entries)
+
+
+# -- row ownership ------------------------------------------------------------
+#
+# Operations hand their fresh rows to the result without a copy
+# (``Matrix.adopt``), so a result must never hold a row of an operand, nor
+# the same row twice: writing into it would change the operand, or another
+# entry of itself.
+
+
+def _assert_owns_its_rows(result, *operands):
+    rows = [id(row) for row in result.data]
+    assert len(set(rows)) == len(rows)
+    assert not set(rows) & {id(row) for m in operands for row in m.data}
+    before = [[list(row) for row in m.data] for m in operands]
+    for row in result.data:
+        for j in range(len(row)):
+            row[j] = row[j] + result.field.one
+    assert [m.data for m in operands] == before
+
+
+@st.composite
+def operand_sets(draw):
+    """(field, a, b, c, s, scalar): a and b n x k, c k x l, s n x n."""
+    field = draw(st.sampled_from(FIELDS))
+    n, k, l = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        rows = [[field.from_int(draw(st.integers(-2, 2))) for _ in range(ncols)] for _ in range(nrows)]
+        return Matrix(nrows, ncols, rows, field)
+
+    scalar = field.from_int(draw(st.integers(-2, 2)))
+    return field, matrix(n, k), matrix(n, k), matrix(k, l), matrix(n, n), scalar
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_sets(), st.integers(0, 3))
+def test_matrix_operations_own_their_rows(operands, exponent):
+    field, a, b, c, s, scalar = operands
+    _assert_owns_its_rows(Matrix.zeros(a.nrows, a.ncols, field))
+    _assert_owns_its_rows(Matrix.identity(s.nrows, field))
+    _assert_owns_its_rows(a + b, a, b)
+    _assert_owns_its_rows(a - b, a, b)
+    _assert_owns_its_rows(a.scale(scalar), a)
+    _assert_owns_its_rows(a * c, a, c)
+    _assert_owns_its_rows(a.transpose(), a)
+    _assert_owns_its_rows(rref(a)[0], a)
+    _assert_owns_its_rows(s.power(exponent), s)
+
+
+@functools.cache
+def _hom_pairs():
+    """Pairs of indecomposables over D4, some two-dimensional at a vertex."""
+    from arquiver.algebra import build_basis, parse_presentation
+    from arquiver.knitting import knit
+    from tests.test_knitting import D4_TEXT
+
+    mods = [v.module for v in knit(build_basis(parse_presentation(D4_TEXT))).vertices.values()]
+    return [(x, y) for x in mods for y in mods]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_basis_maps_own_their_rows(data):
+    from arquiver.modules import hom_basis
+
+    x, y = data.draw(st.sampled_from(_hom_pairs()))
+    basis = hom_basis(x, y)
+    for i, f in enumerate(basis):
+        others = [m for g in basis[:i] + basis[i + 1 :] for m in g.mats.values()]
+        for v, m in f.mats.items():
+            rest = [mm for w, mm in f.mats.items() if w != v]
+            _assert_owns_its_rows(m, *x.mats.values(), *y.mats.values(), *others, *rest)

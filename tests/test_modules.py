@@ -25,6 +25,7 @@ from arquiver.modules import (
     pdim_le_1,
     projective_cover,
     projective_module,
+    projective_sum,
     radical_submodule,
     regular_module,
     simple_module,
@@ -49,6 +50,61 @@ def test_projective_dimension_vectors(alg_cycle4, c4):
     assert c4["P"]["d"].dims == {"a": 0, "b": 1, "c": 0, "d": 1}
     total = sum(p.total_dim for p in c4["P"].values())
     assert total == alg_cycle4.dim
+
+
+def reference_projective_sum(alg, verts):
+    """The construction ``projective_sum`` used before it kept each checked
+    Ae_v: the whole sum read off the multiplication table and validated."""
+    paths_from = {}
+    for v in set(verts):
+        per_vertex = {w: [] for w in alg.quiver.vertices}
+        for k, p in enumerate(alg.basis):
+            if p.source == v:
+                per_vertex[p.target].append(k)
+        paths_from[v] = per_vertex
+    dims = {w: 0 for w in alg.quiver.vertices}
+    layout = []
+    for v in verts:
+        entry = {}
+        for w in alg.quiver.vertices:
+            ks = paths_from[v][w]
+            entry[w] = (dims[w], ks)
+            dims[w] += len(ks)
+        layout.append(entry)
+    mats = {}
+    for a in alg.quiver.arrows.values():
+        m = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
+        ai = alg.index[alg.quiver.path([a.label])]
+        for entry in layout:
+            src_off, src_ks = entry[a.source]
+            tgt_off, tgt_ks = entry[a.target]
+            tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
+            for col, k in enumerate(src_ks):
+                for kk, c in alg.table[ai][k]:
+                    m.data[tgt_off + tgt_pos[kk]][src_off + col] = c
+        mats[a.label] = m
+    return Module(alg, dims, mats, check=True), layout
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg", "kronecker.alg"],
+)
+def test_projective_sum_matches_the_reference_construction(name):
+    alg = load_algebra(name)
+    for a in (alg, alg.opposite()):
+        verts = a.quiver.vertices
+        for chosen in ([], verts, verts[::-1], [verts[0]] * 3, verts + verts[:1] + verts):
+            mod, layout = projective_sum(a, chosen)
+            ref, ref_layout = reference_projective_sum(a, chosen)
+            assert mod.dims == ref.dims
+            assert {k: m.data for k, m in mod.mats.items()} == {k: m.data for k, m in ref.mats.items()}
+            assert layout == ref_layout
+            # writing into one sum must not reach the next: the sums share
+            # no matrix with the kept Ae_v
+            for m in mod.mats.values():
+                for row in m.data:
+                    row[:] = [a.field.one] * len(row)
 
 
 def test_injectives_sum_to_dim(alg_cycle4, c4):
