@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
 from .errors import CapExceeded, InternalError, LimitExceeded, PreconditionError
 from .graph import closure, components
-from .knitting import DEFAULT_MAX_DIM, DEFAULT_MAX_VERTICES, ARQuiver, knit
+from .knitting import (
+    DEFAULT_MAX_DIM,
+    DEFAULT_MAX_VERTICES,
+    ARQuiver,
+    ARVertex,
+    MeshRecord,
+    knit,
+    vertex_namer,
+)
 from .linalg import Matrix, RowSpace, kernel_basis, rank
 from .modules import (
     Module,
@@ -23,7 +31,6 @@ from .modules import (
     find_isomorphism,
     is_sincere,
     pdim_le_1,
-    sincere_faithful,
 )
 
 
@@ -233,26 +240,36 @@ def slice_by_definition(arq, cut):
 
 
 def iter_cuts(arq, cap=10**6, conflict=None):
-    """Nonempty cuts, one at a time, by backtracking with arrow-constraint
-    pruning; the vertices are decided in ``arq.names()`` order, chosen
+    """Nonempty cuts, one at a time, by backtracking with constraint
+    propagation; the vertices are decided in ``arq.names()`` order, chosen
     before left out.
 
     Each cut condition is compiled to a triple ``(guard, a, b)`` of vertex
-    indices, checked at the depth of its last participant: when ``guard``
-    is chosen, exactly one of ``a`` and ``b`` must be.  A zero translate has
-    ``b = -1``, which reads the trailing always-False slot of ``chosen``.
+    indices, watched by each of its vertices: when ``guard`` is chosen,
+    exactly one of ``a`` and ``b`` must be.  A zero translate has ``b = -1``,
+    which reads the trailing always-False slot of ``value``.  Setting a
+    vertex, chosen or left out, visits the conditions it is in: one that
+    fails ends the branch, and one with a single undecided vertex left that
+    only one value satisfies sets that vertex at once.  The walk undoes such
+    forced values on backtracking, and at the depth of a forced vertex it
+    tries that value alone.
 
     ``conflict(x, y)``, a symmetric predicate on vertex names, forbids X and
-    Y (possibly equal) in one cut: the walk does not choose a vertex that
-    conflicts with itself or with one already chosen, and asks about each
-    pair at most once.  A pairwise property such as hom vanishing
-    (``hom_tau_conflict``) then prunes exactly the subtrees that hold no
-    cut with the property, and the cuts that have it come out in the order
-    of the full walk.  More than ``cap`` nodes raise ``CapExceeded``.
+    Y (possibly equal) in one cut: no vertex, chosen or forced, that
+    conflicts with itself or with one already chosen is set, and each pair
+    is asked about at most once, before the choice propagates.  A pairwise
+    property such as hom vanishing (``hom_tau_conflict``) then prunes
+    exactly the subtrees that hold no cut with the property.  Propagation
+    and pruning drop only assignments that no cut extends, so the cuts come
+    out in the order of the full walk, with or without them.  ``cap``
+    bounds the nodes of this walk: one per vertex still undecided when the
+    walk reaches it, and one per finished assignment.  More raise
+    ``CapExceeded``, which says how far the walk got.
     """
     names = arq.names()
-    index = {n: i for i, n in enumerate(names)}
-    by_depth = [[] for _ in names]
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    watch = [[] for _ in names]
     for (x, y) in sorted(arq.arrows):
         for guard, other, (status, t) in (
             (x, y, arq.tau_status(y)),
@@ -260,43 +277,89 @@ def iter_cuts(arq, cap=10**6, conflict=None):
         ):
             if status != "unknown":
                 cond = (index[guard], index[other], -1 if t is None else index[t])
-                by_depth[max(cond)].append(cond)
+                for v in set(cond) - {-1}:
+                    watch[v].append(cond)
 
-    chosen = [False] * (len(names) + 1)
+    value = [None] * n + [False]
+    trail = []
     picked = []
-    table = {}
-    nodes = 0
+    table = [[None] * n for _ in names]
+    nodes = deepest = found = 0
 
-    def clashes(depth):
-        for j in (depth, *picked):
-            if (depth, j) not in table:
-                table[(depth, j)] = conflict(names[depth], names[j])
-            if table[(depth, j)]:
+    def clashes(v):
+        row = table[v]
+        for j in (v, *picked):
+            if row[j] is None:
+                row[j] = table[j][v] = conflict(names[v], names[j])
+            if row[j]:
                 return True
         return False
 
+    def settle(v, chosen):
+        """Set vertex ``v`` and propagate; False when a condition or a
+        conflict fails.  The caller undoes the trail either way."""
+        if chosen and conflict is not None and clashes(v):
+            return False
+        value[v] = chosen
+        trail.append(v)
+        if chosen:
+            picked.append(v)
+        queue = [v]
+        for u in queue:
+            for g, a, b in watch[u]:
+                vg = value[g]
+                if vg is False:
+                    continue
+                va, vb = value[a], value[b]
+                if vg:
+                    if va is None and vb is None:
+                        continue
+                    if va is not None and vb is not None:
+                        if va + vb != 1:
+                            return False
+                        continue
+                    w, forced = (a, not vb) if va is None else (b, not va)
+                elif va is None or vb is None or va + vb == 1:
+                    continue
+                else:
+                    w, forced = g, False
+                if forced and conflict is not None and clashes(w):
+                    return False
+                value[w] = forced
+                trail.append(w)
+                queue.append(w)
+                if forced:
+                    picked.append(w)
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            v = trail.pop()
+            if value[v]:
+                picked.pop()
+            value[v] = None
+
     def walk(depth):
-        nonlocal nodes
+        nonlocal nodes, deepest, found
+        while depth < n and value[depth] is not None:
+            depth += 1
         nodes += 1
         if nodes > cap:
-            raise CapExceeded(f"cut enumeration exceeded the cap of {cap} nodes")
-        if depth == len(names):
+            raise CapExceeded(
+                f"cut enumeration exceeded the cap of {cap} nodes: {cap} nodes walked, "
+                f"deepest depth {deepest} of {n}, {found} cuts found"
+            )
+        deepest = max(deepest, depth)
+        if depth == n:
             if picked:
+                found += 1
                 yield frozenset(names[i] for i in picked)
             return
-        conds = by_depth[depth]
-        for value in (True, False):
-            chosen[depth] = value
-            for guard, a, b in conds:
-                if chosen[guard] and chosen[a] + chosen[b] != 1:
-                    break
-            else:
-                if not value:
-                    yield from walk(depth + 1)
-                elif conflict is None or not clashes(depth):
-                    picked.append(depth)
-                    yield from walk(depth + 1)
-                    picked.pop()
+        for chosen in (True, False):
+            mark = len(trail)
+            if settle(depth, chosen):
+                yield from walk(depth + 1)
+            undo(mark)
 
     yield from walk(0)
 
@@ -422,6 +485,39 @@ def _sub_presentation(pres, vertices):
     return AlgebraPresentation(quiver, relations, pres.field)
 
 
+def _block_quiver(arq, block):
+    """The AR quiver of the block algebra ``block``, read off the complete
+    AR quiver ``arq`` of the whole algebra: the vertex modules supported on
+    the block, restricted to it, with their order, arrows, tau, meshes and
+    flags (no arrow maps).
+
+    A vertex keeps its name P_v, I_v or S_v, and ``vertex_namer`` renames
+    the rest by their dimension vectors over the block, as a knit of the
+    block alone names them.  Names and order agree with that knit because
+    the knit's FIFO queue keeps each block's own registration order.
+    """
+    names = {}
+    out = ARQuiver(block)
+    name_of = vertex_namer(block)
+    for name, v in arq.vertices.items():
+        if any(v.module.dims[w] for w in block.quiver.vertices):
+            module = lift_module(v.module, block)
+            new = name if v.is_projective or v.is_injective else name_of(module)
+            names[name] = new
+            out.vertices[new] = ARVertex(
+                new, module, v.is_projective, v.is_injective, module.dim_vector
+            )
+    out.arrows = {(names[s], names[t]): m for (s, t), m in arq.arrows.items() if s in names}
+    out.tau = {names[x]: names[t] for x, t in arq.tau.items() if x in names}
+    out.meshes = {
+        names[x]: MeshRecord(names[mesh.tau], sorted((names[z], m) for z, m in mesh.middle))
+        for x, mesh in arq.meshes.items()
+        if x in names
+    }
+    out.complete = True
+    return out
+
+
 def certify_tilted(
     alg, arq=None, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM, cap=10**6
 ):
@@ -436,6 +532,11 @@ def certify_tilted(
     ``cuts_examined`` counts the hom-vanishing cuts walked, up to and
     including the witness; ``sincere_qualifying_cuts`` counts those among
     them that are sincere but not faithful.
+
+    An algebra with several blocks gets one certificate per block.  Given
+    a complete ``arq``, each block's quiver is read off it
+    (``_block_quiver``); otherwise each block is knitted on its own within
+    the limits.
     """
     arrows = [(a.source, a.target) for a in alg.quiver.arrows.values()]
     comps = components(alg.quiver.vertices, arrows)
@@ -443,8 +544,11 @@ def certify_tilted(
         blocks = []
         for comp in comps:
             sub = build_basis(_sub_presentation(alg.presentation, comp))
+            sub_arq = _block_quiver(arq, sub) if arq is not None and arq.complete else None
             blocks.append(
-                certify_tilted(sub, max_vertices=max_vertices, max_dim=max_dim, cap=cap)
+                certify_tilted(
+                    sub, arq=sub_arq, max_vertices=max_vertices, max_dim=max_dim, cap=cap
+                )
             )
         if any(b.verdict == "NOT_CERTIFIED" for b in blocks):
             verdict = "NOT_CERTIFIED"
@@ -472,8 +576,11 @@ def _first_witness(arq, cap):
             raise InternalError(
                 "internal inconsistency: a cut of the hom-vanishing walk fails the Hom(X, tau Y) test"
             )
-        mods = [arq.module_of(n) for n in sorted(cut)]
-        sincere, faithful = sincere_faithful(mods)
+        # faithful: the stacked action rows have full column rank (rank
+        # copies the rows it reduces, so the cached rows stay as they are)
+        sincere = is_sincere([arq.module_of(n) for n in cut])
+        rows = [row for n in cut for row in arq.action_rows(n)]
+        faithful = rank(Matrix.adopt(len(rows), arq.alg.dim, rows, arq.alg.field)) == arq.alg.dim
         if not faithful:
             if sincere:
                 sincere_only += 1

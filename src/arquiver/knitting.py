@@ -18,6 +18,7 @@ from .linalg import RowSpace
 from .modules import (
     HomSpace,
     ModuleMap,
+    _action_rows,
     almost_split_sequence,
     canonical_modules,
     decompose_with_inclusions,
@@ -63,6 +64,7 @@ class ARQuiver:
         self._hom_dims = {}
         self._rad1 = {}
         self._rad_powers = None
+        self._action_rows = {}
 
     # -- structure access --------------------------------------------------
 
@@ -201,6 +203,13 @@ class ARQuiver:
         from ``hom_space``."""
         dims = self.hom_dims(x)
         return dims[y] if dims is not None else self.hom_space(x, y).dim
+
+    def action_rows(self, name):
+        """The rows of ``modules._action_rows`` for one vertex module, built
+        once: the rows of a family of vertex modules are theirs stacked."""
+        if name not in self._action_rows:
+            self._action_rows[name] = _action_rows([self.module_of(name)]).data
+        return self._action_rows[name]
 
     def harada_sai_bound(self):
         b = max((v.module.total_dim for v in self.vertices.values() if v.module), default=1)
@@ -454,39 +463,49 @@ def simple_arrow_paths(arq, max_len, start=None):
 # -- knitting ---------------------------------------------------------------
 
 
+def vertex_namer(alg):
+    """The knit's names for vertex modules other than P_v and I_v, as a
+    function of the module: ``S_v`` for the simple at v, else ``M{dv}#k``,
+    the k-th module of dimension vector dv that this namer names."""
+    counts = {}
+
+    def name_of(module):
+        if module.total_dim == 1:
+            return "S_" + next(v for v in alg.quiver.vertices if module.dims[v])
+        dv = ",".join(str(d) for d in module.dim_vector)
+        counts[dv] = counts.get(dv, 0) + 1
+        return f"M{{{dv}}}#{counts[dv]}"
+
+    return name_of
+
+
 def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
     """Construct the AR quiver of a representation-finite algebra."""
     arq = ARQuiver(alg)
     cans = canonical_modules(alg)
-    mnames = {}
-
-    def assign_name(module, canonical):
-        if module.total_dim == 1:
-            v = next(w for w in alg.quiver.vertices if module.dims[w])
-            return f"S_{v}"
-        if canonical:
-            return canonical
-        dv = ",".join(str(d) for d in module.dim_vector)
-        k = mnames.get(dv, 0) + 1
-        mnames[dv] = k
-        return f"M{{{dv}}}#{k}"
-
+    name_of = vertex_namer(alg)
     pending = deque()
+    largest = 0
 
     def register(module, canonical=None, is_proj=False, is_inj=False):
         """Name of ``module``, registered as a new vertex within the limits;
         ``canonical`` names P_v or I_v."""
+        nonlocal largest
         if module.total_dim > max_dim:
+            stop = f"module of total dimension {module.total_dim} exceeds --max-dim {max_dim}"
+        elif len(arq.vertices) >= max_vertices:
+            stop = f"vertex count exceeds --max-vertices {max_vertices}"
+        else:
+            stop = None
+        if stop:
             raise LimitExceeded(
-                f"module of total dimension {module.total_dim} exceeds --max-dim {max_dim}",
+                f"{stop} ({len(arq.vertices)} vertices registered, {len(pending)} modules "
+                f"queued, largest dimension {largest})",
                 partial=arq,
             )
-        if len(arq.vertices) >= max_vertices:
-            raise LimitExceeded(
-                f"vertex count exceeds --max-vertices {max_vertices}", partial=arq
-            )
-        name = assign_name(module, canonical)
+        name = canonical if canonical and module.total_dim > 1 else name_of(module)
         arq.vertices[name] = ARVertex(name, module, is_proj, is_inj, module.dim_vector)
+        largest = max(largest, module.total_dim)
         pending.append(name)
         return name
 

@@ -13,6 +13,7 @@ summands against the indecomposable projectives.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +47,7 @@ from arquiver.modules import (
     sincere_faithful,
 )
 from tests.conftest import FIXTURES
-from tests.test_knitting import D4_TEXT, SQUARE_TEXT
+from tests.test_knitting import CYCLE6_TEXT, D4_TEXT, SQUARE_TEXT
 
 A5_TEXT = """
 field Q
@@ -235,19 +236,67 @@ def reference_convexity_checks(arq, cut, search):
     return ConvexityResult(weakly, reference_convex_in_ind(arq, cut), not _cycle_inside(arq, cut))
 
 
+def walk_nodes(arq, conflict=None):
+    """The nodes ``iter_cuts`` walks: the smallest cap it finishes under."""
+    lo, hi = 1, 10**6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            list(iter_cuts(arq, cap=mid, conflict=conflict))
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    return lo
+
+
 @pytest.mark.parametrize("label", list(TEXTS) + ["tube"])
 def test_enumerate_cuts_matches_reference_walk(quivers, tube_text, label):
+    # the cap counts the nodes of the propagating walk, which are at most
+    # those of the reference
     arq = parse_translation_quiver(tube_text) if label == "tube" else quivers[label]
-    expected, nodes = reference_walk(arq)
+    expected, ref_nodes = reference_walk(arq)
     assert expected
     assert enumerate_cuts(arq) == expected
+    nodes = walk_nodes(arq)
+    assert nodes <= ref_nodes
     assert enumerate_cuts(arq, cap=nodes) == expected
-    with pytest.raises(CapExceeded) as ref_exc:
-        reference_walk(arq, cap=nodes - 1)
     with pytest.raises(CapExceeded) as exc:
         enumerate_cuts(arq, cap=nodes - 1)
-    assert str(exc.value) == str(ref_exc.value)
-    assert str(exc.value) == f"cut enumeration exceeded the cap of {nodes - 1} nodes"
+    found = re.fullmatch(
+        rf"cut enumeration exceeded the cap of {nodes - 1} nodes: {nodes - 1} nodes walked, "
+        rf"deepest depth (\d+) of {len(arq.names())}, (\d+) cuts found",
+        str(exc.value),
+    )
+    assert found and int(found[1]) <= len(arq.names()) and int(found[2]) <= len(expected)
+
+
+@pytest.fixture(scope="module")
+def walked(quivers, tube_text):
+    """label -> (quiver, reference cuts, reference nodes) over the fixture
+    quivers, the tube and the rad^2 = 0 6-cycle."""
+    arqs = dict(quivers)
+    arqs["tube"] = parse_translation_quiver(tube_text)
+    arqs["cycle6"] = knit(build_basis(parse_presentation(CYCLE6_TEXT)))
+    return {label: (arq, *reference_walk(arq)) for label, arq in arqs.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_under_random_conflicts_matches_the_reference(walked, data):
+    label = data.draw(st.sampled_from(sorted(walked)), label="quiver")
+    arq, cuts, ref_nodes = walked[label]
+    pairs = st.frozensets(st.sampled_from(arq.names()), min_size=1, max_size=2)
+    bad = data.draw(st.sets(pairs, max_size=6), label="conflicting pairs")
+    asked = []
+
+    def conflict(x, y):
+        asked.append(frozenset((x, y)))
+        return frozenset((x, y)) in bad
+
+    expected = [c for c in cuts if not any(frozenset((x, y)) in bad for x in c for y in c)]
+    assert list(iter_cuts(arq, conflict=conflict)) == expected
+    assert len(asked) == len(set(asked))
+    assert walk_nodes(arq, conflict) <= ref_nodes
 
 
 @pytest.mark.parametrize("label", list(TEXTS))

@@ -139,8 +139,12 @@ def test_enumerate_finds_delta(arq_cycle4):
 
 
 def test_enumerate_cap(arq_cycle4):
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:
         enumerate_cuts(arq_cycle4, cap=5)
+    assert str(exc.value) == (
+        "cut enumeration exceeded the cap of 5 nodes: 5 nodes walked, deepest depth 4 of 8, "
+        "0 cuts found"
+    )
 
 
 def test_certify_b(alg_b, arq_b):

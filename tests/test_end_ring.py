@@ -73,7 +73,10 @@ def test_cli_kronecker_over_f2_reaches_the_dimension_limit(tmp_path, capsys):
     rc = main(["ar", "build", str(path), "--max-dim", "8"])
     captured = capsys.readouterr()
     assert rc == 3
-    assert captured.err == "error: module of total dimension 11 exceeds --max-dim 8\n"
+    assert captured.err == (
+        "error: module of total dimension 11 exceeds --max-dim 8 (8 vertices registered, "
+        "3 modules queued, largest dimension 7)\n"
+    )
     assert json.loads(captured.out)["partial"] is True
 
 

@@ -214,7 +214,10 @@ def test_cli_default_limits_stop_the_kronecker_knit(capsys):
     rc = main(["ar", "build", fixture_path("kronecker.alg")])
     captured = capsys.readouterr()
     assert rc == 3
-    assert captured.err == "error: module of total dimension 35 exceeds --max-dim 32\n"
+    assert captured.err == (
+        "error: module of total dimension 35 exceeds --max-dim 32 (32 vertices registered, "
+        "3 modules queued, largest dimension 31)\n"
+    )
     data = json.loads(captured.out)
     assert data["partial"] is True
     assert all(sum(v["dim_vector"]) <= 32 for v in data["ar_quiver"]["vertices"])

@@ -84,6 +84,11 @@ def test_knit_limit_exceeded():
     partial = exc_info.value.partial
     assert partial is not None
     assert len(partial.vertices) >= 10
+    assert str(exc_info.value) == (
+        "vertex count exceeds --max-vertices 10 (10 vertices registered, 3 modules queued, "
+        "largest dimension 11)"
+    )
+    assert max(v.module.total_dim for v in partial.vertices.values()) == 11
 
 
 def test_mesh_invariants_on_fixtures(arq_cycle4, arq_cycle3, arq_b, arq_a2):
