@@ -25,6 +25,13 @@ over that way.  The operations here (products, sums, scalings,
 transposes, ``zeros``, ``identity``, ``rref``) do, as do the places in
 ``modules`` that build a matrix row by row, so no result shares a row
 with an operand or with another matrix.
+
+A matrix with no entries (0xn or nx0) is the exception: nothing can be
+written into it, so ``Matrix.zeros`` and the operations hand out one
+shared instance per shape and field.  Every operation checks its shapes
+first, then answers an operand or result with no entries from the shapes
+alone: a product through an empty middle dimension is the zero matrix of
+the full shape, and an empty matrix has rank 0 and is its own RREF.
 """
 
 from bisect import bisect_left
@@ -234,6 +241,8 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows, ncols, field=QQ):
+        if not nrows or not ncols:
+            return _empty(nrows, ncols, field)
         z = field.zero
         return cls.adopt(nrows, ncols, [[z] * ncols for _ in range(nrows)], field)
 
@@ -258,6 +267,8 @@ class Matrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("matrix addition shape mismatch")
+        if not self.nrows or not self.ncols:
+            return _empty(self.nrows, self.ncols, self.field)
         return Matrix.adopt(
             self.nrows,
             self.ncols,
@@ -269,6 +280,8 @@ class Matrix:
         return self + other.scale(-self.field.one)
 
     def scale(self, c):
+        if not self.nrows or not self.ncols:
+            return _empty(self.nrows, self.ncols, self.field)
         return Matrix.adopt(self.nrows, self.ncols, [[c * a for a in row] for row in self.data], self.field)
 
     def __mul__(self, other):
@@ -277,6 +290,8 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
+            if not (self.nrows and self.ncols and other.ncols):
+                return Matrix.zeros(self.nrows, other.ncols, self.field)
             zero = self.field.zero
             out = [[zero] * other.ncols for _ in range(self.nrows)]
             for i in range(self.nrows):
@@ -309,6 +324,8 @@ class Matrix:
         return out
 
     def transpose(self):
+        if not self.nrows or not self.ncols:
+            return _empty(self.ncols, self.nrows, self.field)
         return Matrix.adopt(
             self.ncols,
             self.nrows,
@@ -322,6 +339,8 @@ class Matrix:
     def power(self, n):
         if self.nrows != self.ncols:
             raise DimensionError("power of a non-square matrix")
+        if not self.nrows:
+            return _empty(0, 0, self.field)
         result = Matrix.identity(self.nrows, self.field)
         base = self
         while n > 0:
@@ -330,6 +349,18 @@ class Matrix:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+
+_EMPTY = {}
+
+
+def _empty(nrows, ncols, field=QQ):
+    """The one shared matrix of shape nrows x ncols, a shape with no entries."""
+    key = (nrows, ncols, field.char)
+    m = _EMPTY.get(key)
+    if m is None:
+        m = _EMPTY[key] = Matrix.adopt(nrows, ncols, [[] for _ in range(nrows)], field)
+    return m
 
 
 def _support(row, start=0):
@@ -345,6 +376,8 @@ def _eliminate(row, f, pivot_row, support):
 
 def rref(m):
     """Reduced row echelon form; returns (new Matrix, pivot column list)."""
+    if not m.nrows or not m.ncols:
+        return _empty(m.nrows, m.ncols, m.field), []
     data = [list(row) for row in m.data]
     pivots = []
     r = 0
@@ -373,6 +406,8 @@ def rref(m):
 
 
 def rank(m):
+    if not m.nrows or not m.ncols:
+        return 0
     return len(rref(m)[1])
 
 

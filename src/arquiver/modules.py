@@ -7,6 +7,11 @@ arrow first, matching the algebra's composition convention.
 The Auslander-Reiten translate is computed literally as DTr: take a
 minimal projective presentation P1 -> P0 -> M, apply Hom(-, A) to land in
 projectives over the opposite algebra, and dualize the cokernel back.
+
+Operations visit only the blocks where a module is nonzero: a vertex block
+of a map, or an arrow or relation block, with no entries is fixed by its
+shape, and ``Matrix.zeros`` hands it out as one shared empty matrix.  Every
+check with content still runs.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -54,6 +59,8 @@ class Module:
                     f"expected {self.dims[a.target]}x{self.dims[a.source]}"
                 )
         for rel in self.alg.presentation.relations:
+            if not self.dims[rel.source] or not self.dims[rel.target]:
+                continue
             acc = Matrix.zeros(self.dims[rel.target], self.dims[rel.source], self.field)
             for c, p in rel.terms:
                 acc = acc + self.path_action(p).scale(c)
@@ -99,6 +106,8 @@ class ModuleMap:
             if (m.nrows, m.ncols) != (self.tgt.dims[v], self.src.dims[v]):
                 raise DimensionError(f"map block at vertex {v} has a wrong shape")
         for a in self.src.alg.quiver.arrows.values():
+            if not self.tgt.dims[a.target] or not self.src.dims[a.source]:
+                continue
             lhs = self.mats[a.target] * self.src.mats[a.label]
             rhs = self.tgt.mats[a.label] * self.mats[a.source]
             if lhs != rhs:
@@ -116,20 +125,16 @@ class ModuleMap:
         """self after other."""
         if other.tgt is not self.src and other.tgt.dims != self.src.dims:
             raise DimensionError("composition endpoints do not match")
-        return ModuleMap(
-            other.src,
-            self.tgt,
-            {v: self.mats[v] * other.mats[v] for v in self.mats},
-            check=False,
-        )
+        mats = {v: m * other.mats[v] for v, m in _nonempty(self.mats) if other.src.dims[v]}
+        return ModuleMap(other.src, self.tgt, mats, check=False)
 
     def add(self, other):
-        return ModuleMap(
-            self.src, self.tgt, {v: self.mats[v] + other.mats[v] for v in self.mats}, check=False
-        )
+        mats = {v: m + other.mats[v] for v, m in _nonempty(self.mats)}
+        return ModuleMap(self.src, self.tgt, mats, check=False)
 
     def scale(self, c):
-        return ModuleMap(self.src, self.tgt, {v: self.mats[v].scale(c) for v in self.mats}, check=False)
+        mats = {v: m.scale(c) for v, m in _nonempty(self.mats)}
+        return ModuleMap(self.src, self.tgt, mats, check=False)
 
     def is_zero(self):
         return all(m.is_zero() for m in self.mats.values())
@@ -142,7 +147,7 @@ class ModuleMap:
         return True
 
     def total_rank(self):
-        return sum(rank(m) for m in self.mats.values())
+        return sum(rank(m) for _v, m in _nonempty(self.mats))
 
     def vectorize(self):
         out = []
@@ -154,12 +159,16 @@ class ModuleMap:
     def power(self, n):
         if self.src is not self.tgt and self.src.dims != self.tgt.dims:
             raise DimensionError("power of a non-endomorphism")
-        return ModuleMap(
-            self.src, self.tgt, {v: self.mats[v].power(n) for v in self.mats}, check=False
-        )
+        mats = {v: m.power(n) for v, m in _nonempty(self.mats)}
+        return ModuleMap(self.src, self.tgt, mats, check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.tgt!r})"
+
+
+def _nonempty(mats):
+    """The (key, matrix) pairs of ``mats`` whose matrix has entries."""
+    return ((k, m) for k, m in mats.items() if m.nrows and m.ncols)
 
 
 # -- constructors ---------------------------------------------------------
@@ -189,7 +198,9 @@ def _projective_piece(alg, v):
         mats = {}
         entries = []
         for a in alg.quiver.arrows.values():
-            src_ks, tgt_ks = paths.get(a.source, []), paths.get(a.target, [])
+            src_ks, tgt_ks = paths.get(a.source), paths.get(a.target)
+            if not src_ks or not tgt_ks:
+                continue
             m = Matrix.zeros(len(tgt_ks), len(src_ks), alg.field)
             tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
             products = alg.table[alg.arrow_index(a.label)]
@@ -208,23 +219,26 @@ def projective_sum(alg, verts):
     """Direct sum of projectives Ae_v; returns (Module, layout).
 
     layout[s][w] = (offset, [algebra basis indices of paths verts[s] -> w])
-    giving the coordinate block of summand s inside M_w; a nonempty path
-    list is the algebra's own, shared by every call, and only read.  Each
-    summand is the checked Ae_v of ``_projective_piece``, placed at its
-    offsets.
+    giving the coordinate block of summand s inside M_w, for each w where
+    the summand is nonzero; the path list is the algebra's own, shared by
+    every call, and only read.  Each summand is the checked Ae_v of
+    ``_projective_piece``, placed at its offsets.
     """
     pieces = [_projective_piece(alg, v) for v in verts]
-    dims = {w: 0 for w in alg.quiver.vertices}
+    dims = dict.fromkeys(alg.quiver.vertices, 0)
     layout = []
     for paths, _entries in pieces:
         entry = {}
-        for w in alg.quiver.vertices:
-            ks = paths.get(w, [])
+        for w, ks in paths.items():
             entry[w] = (dims[w], ks)
             dims[w] += len(ks)
         layout.append(entry)
     arrows = alg.quiver.arrows
-    mats = {a.label: Matrix.zeros(dims[a.target], dims[a.source], alg.field) for a in arrows.values()}
+    mats = {
+        a.label: Matrix.zeros(dims[a.target], dims[a.source], alg.field)
+        for a in arrows.values()
+        if dims[a.target] and dims[a.source]
+    }
     for (_paths, entries), entry in zip(pieces, layout):
         for label, i, j, c in entries:
             a = arrows[label]
@@ -242,7 +256,8 @@ def dual_module(m):
     mats = {}
     for a in op.quiver.arrows.values():
         # arrow a: v -> w in op corresponds to a: w -> v in the original
-        mats[a.label] = m.mats[a.label].transpose()
+        if m.dims[a.source] and m.dims[a.target]:
+            mats[a.label] = m.mats[a.label].transpose()
     return Module(op, dict(m.dims), mats, check=True)
 
 
@@ -279,6 +294,8 @@ def direct_sum(mods):
             running[v] += m.dims[v]
     mats = {}
     for a in alg.quiver.arrows.values():
+        if not dims[a.target] or not dims[a.source]:
+            continue
         big = Matrix.zeros(dims[a.target], dims[a.source], field)
         for m, off in zip(mods, offsets):
             block = m.mats[a.label]
@@ -294,6 +311,8 @@ def direct_sum(mods):
         inc = {}
         prj = {}
         for v in alg.quiver.vertices:
+            if not m.dims[v]:
+                continue
             mi = Matrix.zeros(dims[v], m.dims[v], field)
             mp = Matrix.zeros(m.dims[v], dims[v], field)
             for i in range(m.dims[v]):
@@ -325,10 +344,14 @@ def submodule_from_columns(m, columns):
             m.dims[v], dims[v], [[r[i] for r in spaces[v].rows] for i in range(m.dims[v])], field
         )
         for v in alg.quiver.vertices
+        if dims[v]
     }
     mats = {}
     for a in alg.quiver.arrows.values():
         src, tgt = a.source, a.target
+        # an image in a zero M_tgt lies in N_tgt; every other image is checked
+        if not dims[src] or not m.dims[tgt]:
+            continue
         block = Matrix.zeros(dims[tgt], dims[src], field)
         for j, row in enumerate(spaces[src].rows):
             img = m.mats[a.label].apply(row)
@@ -360,6 +383,10 @@ def quotient_by_subspaces(m, subspaces):
     proj = {}
     sect = {}
     for v in alg.quiver.vertices:
+        if not m.dims[v]:
+            reps[v] = []
+            sect[v] = Matrix.zeros(0, 0, field)
+            continue
         space = subspaces.get(v) or RowSpace(m.dims[v], field=field)
         pivot_set = set(space.pivots)
         rep = [i for i in range(m.dims[v]) if i not in pivot_set]
@@ -376,16 +403,18 @@ def quotient_by_subspaces(m, subspaces):
             sm.data[coord][j] = field.one
         sect[v] = sm
     dims = {v: len(reps[v]) for v in alg.quiver.vertices}
-    mats = {}
-    for a in alg.quiver.arrows.values():
-        mats[a.label] = proj[a.target] * m.mats[a.label] * sect[a.source]
+    mats = {
+        a.label: proj[a.target] * m.mats[a.label] * sect[a.source]
+        for a in alg.quiver.arrows.values()
+        if dims[a.target] and dims[a.source]
+    }
     q = Module(alg, dims, mats, check=False)
     return q, ModuleMap(m, q, proj, check=False), sect
 
 
 def cokernel_module(f):
     """Cokernel of a map; returns (C, projection, section matrices)."""
-    subspaces = {v: RowSpace(m.nrows, zip(*m.data), field=f.field) for v, m in f.mats.items()}
+    subspaces = {v: RowSpace(m.nrows, zip(*m.data), field=f.field) for v, m in _nonempty(f.mats)}
     return quotient_by_subspaces(f.tgt, subspaces)
 
 
@@ -447,7 +476,7 @@ def hom_basis(x, y):
                         row[offsets[v] + l * x.dims[v] + j] = row[offsets[v] + l * x.dims[v] + j] - ya.data[i][l]
                 if any(row):
                     rows.append(row)
-    mat = Matrix.adopt(len(rows), total, rows, field)
+    mat = Matrix.adopt(len(rows), total, rows, field) if rows else Matrix.zeros(0, total, field)
     return [_unflatten(x, y, vec) for vec in kernel_basis(mat)]
 
 
@@ -457,6 +486,8 @@ def _unflatten(x, y, flat):
     off = 0
     for v in x.alg.quiver.vertices:
         nrows, ncols = y.dims[v], x.dims[v]
+        if not nrows or not ncols:
+            continue
         mats[v] = Matrix.adopt(
             nrows, ncols, [flat[off + i * ncols : off + (i + 1) * ncols] for i in range(nrows)], x.field
         )
@@ -742,6 +773,8 @@ def _generator_maps(p, layout, y, image_sets):
             if not any(image):
                 continue
             for w, (off, ks) in entry.items():
+                if not y.dims[w]:
+                    continue
                 for j, k in enumerate(ks):
                     if k not in actions:
                         actions[k] = y.path_action(alg.basis[k])
@@ -816,7 +849,7 @@ def transpose_module(m, pres=None):
     for entry in pres.layout0:
         image = []
         for v, column in columns:
-            off, ks = entry[v]
+            off, ks = entry.get(v, (0, ()))
             image.extend(column[off : off + len(ks)])
         images.append(image)
     p0_op, layout0_op = projective_sum(op, pres.verts0)
@@ -913,11 +946,13 @@ def annihilator(mods):
     alg = mods[0].alg
     field = alg.field
     gens = kernel_basis(_action_rows(mods))
-    # two-sidedness check: the kernel must be closed under both actions
+    # two-sidedness check: the kernel must be closed under both actions of
+    # the generators of A, the vertices and the arrows (basis paths of
+    # length at most 1), so under every product of them
     span = RowSpace(alg.dim, gens, field=field)
+    generators = [alg.basis_element(i) for i, p in enumerate(alg.basis) if p.length <= 1]
     for g in gens:
-        for i in range(alg.dim):
-            b = alg.basis_element(i)
+        for b in generators:
             if not span.contains(alg.multiply(b, g)) or not span.contains(alg.multiply(g, b)):
                 raise PreconditionError("annihilator failed the two-sided ideal check")
     return gens
@@ -1042,6 +1077,8 @@ def almost_split_sequence(m):
     total, (i1, _i2), _projs = direct_sum([tau, pres.p0])
     h_mats = {}
     for v in m.alg.quiver.vertices:
+        if not ker.dims[v]:
+            continue
         rows = []
         for r in g.mats[v].data:
             rows.append([-a for a in r])
@@ -1053,6 +1090,8 @@ def almost_split_sequence(m):
     # right map: induced by epi on the P0 block
     right_mats = {}
     for v in m.alg.quiver.vertices:
+        if not m.dims[v] or not middle.dims[v]:
+            continue
         p0_block = Matrix.zeros(m.dims[v], total.dims[v], m.field)
         for i in range(m.dims[v]):
             for j in range(pres.p0.dims[v]):

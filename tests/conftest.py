@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from arquiver import linalg
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.knitting import knit
 
@@ -65,3 +66,37 @@ def arq_a3line(alg_a3line):
 @pytest.fixture(scope="session")
 def tube_text():
     return (FIXTURES / "tube_rank3.tq").read_text()
+
+
+class MatrixCounter:
+    """How many matrices with no entries were built."""
+
+    def __init__(self):
+        self.empty = 0
+
+    def note(self, nrows, ncols):
+        if not nrows or not ncols:
+            self.empty += 1
+
+
+@pytest.fixture
+def matrix_counter(monkeypatch):
+    """A MatrixCounter fed by every ``Matrix.__init__`` and ``Matrix.adopt``
+    while the test runs.  The shared empty matrices start afresh, so each one
+    the test needs is built, and counted, once."""
+    counter = MatrixCounter()
+    matrix = linalg.Matrix
+    adopt, init = matrix.adopt.__func__, matrix.__init__
+
+    def counting_adopt(cls, nrows, ncols, rows, field=linalg.QQ):
+        counter.note(nrows, ncols)
+        return adopt(cls, nrows, ncols, rows, field)
+
+    def counting_init(self, nrows, ncols, data, field=linalg.QQ):
+        counter.note(nrows, ncols)
+        init(self, nrows, ncols, data, field)
+
+    monkeypatch.setattr(matrix, "adopt", classmethod(counting_adopt))
+    monkeypatch.setattr(matrix, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "_EMPTY", {}, raising=False)
+    return counter

@@ -97,6 +97,22 @@ def test_pencil_with_end_ring_q_i_is_refused():
         decompose_with_inclusions(m)
 
 
+@pytest.mark.parametrize("p, c1, c0", [(2, 1, 1), (3, 0, 1)])
+def test_pencil_with_a_finite_field_end_ring_is_refused(p, c1, c0):
+    # alpha = 1 and beta = the companion matrix of x^2 + c1 x + c0, which has
+    # no root in F_p (x^2 + x + 1 over F_2, x^2 + 1 over F_3): End(M) is the
+    # field F_p[x]/(x^2 + c1 x + c0) of p^2 elements
+    alg = build_basis(parse_presentation(over((FIXTURES / "kronecker.alg").read_text(), f"F {p}")))
+    f = alg.field.from_int
+    one = Matrix.identity(2, alg.field)
+    companion = Matrix(2, 2, [[f(0), f(-c0)], [f(1), f(-c1)]], alg.field)
+    m = Module(alg, {"a": 2, "b": 2}, {"alpha": one, "beta": companion})
+    assert len(hom_basis(m, m)) == 2
+    assert end_radical_coords(m, hom_basis(m, m)) is None
+    with pytest.raises(NonSplitEndomorphismRing, match="no eigenvalue"):
+        decompose_with_inclusions(m)
+
+
 @pytest.fixture(scope="module")
 def s_plus_s(alg_a2):
     total, _inc, _prj = direct_sum([simple_module(alg_a2, "a")] * 2)

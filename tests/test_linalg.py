@@ -337,6 +337,106 @@ def test_empty_shapes_match_dense_reference():
             assert RowSpace(m.ncols, m.data, field=field).rows == []
 
 
+# -- matrices with no entries -------------------------------------------------
+#
+# Each operation answers an operand with a zero dimension from the shapes
+# alone, after its shape check.  The references below are the general loops,
+# which need no case for empty shapes.
+
+
+def loop_product(a, b):
+    zero = a.field.zero
+    return [
+        [sum((a.data[i][k] * b.data[k][j] for k in range(a.ncols)), zero) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def loop_power(s, n):
+    field = s.field
+    unit = [[field.one if i == j else field.zero for j in range(s.ncols)] for i in range(s.nrows)]
+    result = Matrix(s.nrows, s.ncols, unit, field)
+    for _ in range(n):
+        result = Matrix(s.nrows, s.ncols, loop_product(result, s), field)
+    return result.data
+
+
+dims = st.one_of(st.just(0), st.integers(0, 4))
+
+
+@st.composite
+def shaped_operands(draw):
+    """(field, a, b, c, s, scalar): a and b n x k, c k x l, s n x n, each
+    dimension 0 to 4 and often 0; rationals are Fractions, as ``dense_rref``
+    divides with ``/``."""
+    field = draw(st.sampled_from(FIELDS))
+    element = Fraction if field == QQ else field.from_int
+    n, k, l = draw(dims), draw(dims), draw(dims)
+
+    def matrix(nrows, ncols):
+        rows = [[element(draw(st.integers(-2, 2))) for _ in range(ncols)] for _ in range(nrows)]
+        return Matrix(nrows, ncols, rows, field)
+
+    scalar = element(draw(st.integers(-2, 2)))
+    return field, matrix(n, k), matrix(n, k), matrix(k, l), matrix(n, n), scalar
+
+
+def _shape(m):
+    return m.nrows, m.ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_operands(), st.integers(0, 3))
+def test_operations_on_zero_shapes_match_the_loop_reference(operands, exponent):
+    field, a, b, c, s, scalar = operands
+    n, k = _shape(a)
+    product = a * c
+    assert (_shape(product), product.data) == ((n, c.ncols), loop_product(a, c))
+    total = a + b
+    sums = [[x + y for x, y in zip(r, t)] for r, t in zip(a.data, b.data)]
+    assert (_shape(total), total.data) == ((n, k), sums)
+    scaled = a.scale(scalar)
+    assert (_shape(scaled), scaled.data) == ((n, k), [[scalar * x for x in r] for r in a.data])
+    flipped = a.transpose()
+    assert (_shape(flipped), flipped.data) == ((k, n), [[r[j] for r in a.data] for j in range(k)])
+    powered = s.power(exponent)
+    assert (_shape(powered), powered.data) == ((n, n), loop_power(s, exponent))
+    red, pivots = rref(a)
+    assert (_shape(red), red.data, pivots) == ((n, k), *dense_rref(a))
+    assert rank(a) == len(dense_rref(a)[1])
+    for m in (product, total, scaled, flipped, powered, red):
+        if not m.nrows or not m.ncols:
+            assert m is Matrix.zeros(m.nrows, m.ncols, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_product_through_an_empty_middle_is_the_full_zero_matrix(field):
+    for n in range(5):
+        for l in range(5):
+            p = Matrix(n, 0, [[] for _ in range(n)], field) * Matrix(0, l, [], field)
+            assert (_shape(p), p.data) == ((n, l), [[field.zero] * l for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), dims, dims, dims, dims)
+def test_mismatched_shapes_raise_with_empty_shapes_too(field, r1, c1, r2, c2):
+    x, y = Matrix.zeros(r1, c1, field), Matrix.zeros(r2, c2, field)
+    if c1 != r2:
+        with pytest.raises(DimensionError):
+            x * y
+    if (r1, c1) != (r2, c2):
+        with pytest.raises(DimensionError):
+            x + y
+    if r1 != c1:
+        with pytest.raises(DimensionError):
+            x.power(2)
+
+
+def test_mismatched_empty_product_raises():
+    with pytest.raises(DimensionError, match="cannot multiply 0x2 by 3x0"):
+        Matrix.zeros(0, 2) * Matrix.zeros(3, 0)
+
+
 # -- integral rationals are ints ---------------------------------------------
 #
 # An element of Q is an int when integral and a Fraction otherwise, so the
@@ -430,6 +530,11 @@ def test_knit_holds_no_float(name):
 
 
 def _assert_owns_its_rows(result, *operands):
+    if not result.nrows or not result.ncols:
+        # a matrix with no entries holds nothing to write into: it is the one
+        # instance of its shape and field that every operation shares
+        assert result is Matrix.zeros(result.nrows, result.ncols, result.field)
+        return
     rows = [id(row) for row in result.data]
     assert len(set(rows)) == len(rows)
     assert not set(rows) & {id(row) for m in operands for row in m.data}

@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from arquiver import modules
+from arquiver.algebra import build_basis, parse_presentation
+from arquiver.cuts import quotient_by_cut
 from arquiver.errors import DimensionError, PreconditionError
+from arquiver.knitting import knit
 from arquiver.linalg import Matrix, RowSpace
 from arquiver.modules import (
     HomSpace,
@@ -31,9 +35,11 @@ from arquiver.modules import (
     simple_module,
     sincere_faithful,
     socle_submodule,
+    submodule_from_columns,
     translate,
 )
 from tests.conftest import load_algebra
+from tests.test_knitting import cycle_text
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +74,8 @@ def reference_projective_sum(alg, verts):
         entry = {}
         for w in alg.quiver.vertices:
             ks = paths_from[v][w]
-            entry[w] = (dims[w], ks)
+            if ks:
+                entry[w] = (dims[w], ks)
             dims[w] += len(ks)
         layout.append(entry)
     mats = {}
@@ -76,8 +83,8 @@ def reference_projective_sum(alg, verts):
         m = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
         ai = alg.index[alg.quiver.path([a.label])]
         for entry in layout:
-            src_off, src_ks = entry[a.source]
-            tgt_off, tgt_ks = entry[a.target]
+            src_off, src_ks = entry.get(a.source, (0, []))
+            tgt_off, tgt_ks = entry.get(a.target, (0, []))
             tgt_pos = {k: i for i, k in enumerate(tgt_ks)}
             for col, k in enumerate(src_ks):
                 for kk, c in alg.table[ai][k]:
@@ -334,6 +341,25 @@ def test_annihilator_is_two_sided_ideal(alg_cycle4, c4):
             assert span.contains(alg_cycle4.multiply(g, b))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_annihilator_refuses_a_one_sided_ideal(monkeypatch, alg_a3line, side):
+    # A e_b and e_b A over the line a <- b <- c are one-sided ideals that
+    # are not two-sided; handed over as the kernel, each must fail the check
+    alg = alg_a3line
+    e_b = alg.idempotent("b")
+
+    def product(x, y):
+        return alg.multiply(x, y) if side == "left" else alg.multiply(y, x)
+
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    ideal = RowSpace(alg.dim, [product(p, e_b) for p in basis])
+    assert all(ideal.contains(product(p, g)) for p in basis for g in ideal.rows)
+    assert not all(ideal.contains(product(g, p)) for p in basis for g in ideal.rows)
+    monkeypatch.setattr(modules, "kernel_basis", lambda m: [list(r) for r in ideal.rows])
+    with pytest.raises(PreconditionError, match="^annihilator failed the two-sided ideal check$"):
+        annihilator([simple_module(alg, "a")])
+
+
 def test_sincere_faithful(alg_cycle3, alg_cycle4, c4):
     mods3 = [
         projective_module(alg_cycle3, "b"),
@@ -518,3 +544,25 @@ def test_hom_space_rejects_maps_outside_it(a3_hom_spaces):
         else:
             assert hs.from_coords(hs.coords(ones)).mats == ones.mats
     assert rejected > 0
+
+
+def test_submodule_zero_at_a_target_still_checks_the_images(alg_a2):
+    # P_a is k -> k: the span of M_a, with nothing at b, is not a submodule,
+    # since alpha sends M_a onto M_b; the check must run where N_b = 0
+    p_a = projective_module(alg_a2, "a")
+    assert p_a.dim_vector == (1, 1)
+    with pytest.raises(PreconditionError, match="not arrow-invariant"):
+        submodule_from_columns(p_a, {"a": [[1]]})
+    sub, _inc = submodule_from_columns(p_a, {"b": [[1]]})
+    assert sub.dim_vector == (0, 1)
+
+
+def test_zero_blocks_build_few_empty_matrices(matrix_counter):
+    # Modules over the rad^2 = 0 12-cycle live on one or two of its twelve
+    # vertices.  Before module operations skipped zero blocks, this knit and
+    # quotient built 15,598 matrices with no entries (11,134 in the knit);
+    # skipping them, 23.
+    alg = build_basis(parse_presentation(cycle_text(12)))
+    cut = ["P_v0", "P_v1", "P_v3", "P_v4", "P_v6", "P_v7", "S_v1", "S_v4", "S_v7"]
+    quotient_by_cut(alg, knit(alg), cut)
+    assert matrix_counter.empty <= 40

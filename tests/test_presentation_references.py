@@ -82,14 +82,14 @@ def reference_projective_hom(alg, src_verts, tgt_verts, amat):
     for w in alg.quiver.vertices:
         block = Matrix.zeros(tgt_mod.dims[w], src_mod.dims[w], alg.field)
         for j in range(len(src_verts)):
-            off_j, ks_j = src_layout[j][w]
+            off_j, ks_j = src_layout[j].get(w, (0, []))
             for col, k in enumerate(ks_j):
                 pvec = alg.basis_element(k)
                 for i in range(len(tgt_verts)):
                     if not any(amat[i][j]):
                         continue
                     prod = alg.multiply(pvec, amat[i][j])
-                    off_i, ks_i = tgt_layout[i][w]
+                    off_i, ks_i = tgt_layout[i].get(w, (0, []))
                     pos = {kk: t for t, kk in enumerate(ks_i)}
                     for kk, c in enumerate(prod):
                         if c and alg.basis[kk].source == tgt_verts[i] and alg.basis[kk].target == w:
@@ -111,7 +111,7 @@ def reference_transpose(m):
         unit[off_j + ks_j.index(alg.idempotent_index[vj])] = alg.field.one
         img = pres.f.mats[vj].apply(unit)
         for i in range(len(pres.verts0)):
-            off_i, ks_i = pres.layout0[i][vj]
+            off_i, ks_i = pres.layout0[i].get(vj, (0, []))
             a = alg.zero_element()
             for t, k in enumerate(ks_i):
                 a[k] = img[off_i + t]
@@ -130,7 +130,7 @@ def reference_cover_epi(m):
     for w in alg.quiver.vertices:
         block = Matrix.zeros(m.dims[w], cover.dims[w], m.field)
         for s, gen in enumerate(gens):
-            off, ks = layout[s][w]
+            off, ks = layout[s].get(w, (0, []))
             for j, k in enumerate(ks):
                 img = m.path_action(alg.basis[k]).apply(gen)
                 for i in range(m.dims[w]):
