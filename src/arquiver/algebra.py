@@ -6,10 +6,12 @@ word is composable when source(a_i) = target(a_{i+1}).  A length-0 word is
 a vertex idempotent e_v.
 
 The quotient basis is computed by length-graded row reduction over the
-path space: paths are enumerated by increasing length, the ideal span is
-saturated with all products u*r*v that fit under the current length cap,
-and the construction stops at the first N with every length-N path inside
-the ideal.  Normal forms are the non-pivot paths of the reduced span.
+path space.  Paths are listed one length at a time, and one saturation
+(``_ideal_span``) spans the products u*r*v that fit under a length cap.  It
+serves twice: to find the first N with every length-N path inside the
+ideal, and then to span I/rad^N.  The non-pivot paths of that reduced span
+are the basis, each its own normal form; a pivot path equals minus the
+rest of its row.
 """
 
 import re
@@ -39,6 +41,10 @@ class Path:
         if self.length == 0:
             return f"e_{self.source}"
         return "*".join(self.arrows)
+
+    def opposite(self):
+        """The same word as a path of the opposite quiver."""
+        return Path(self.length, self.arrows[::-1], self.target, self.source)
 
 
 class Quiver:
@@ -342,22 +348,12 @@ class AlgebraBasis:
         if self._opposite is not None:
             return self._opposite
         op_quiver = self.quiver.opposite()
-        op_basis = [
-            Path(p.length, tuple(reversed(p.arrows)), p.target, p.source)
-            for p in self.basis
-        ]
+        op_basis = [p.opposite() for p in self.basis]
         n = self.dim
         op_table = [[self.table[j][i] for j in range(n)] for i in range(n)]
-        op_relations = []
-        for r in self.presentation.relations:
-            op_relations.append(
-                Relation(
-                    [
-                        (c, Path(p.length, tuple(reversed(p.arrows)), p.target, p.source))
-                        for c, p in r.terms
-                    ]
-                )
-            )
+        op_relations = [
+            Relation([(c, p.opposite()) for c, p in r.terms]) for r in self.presentation.relations
+        ]
         op_pres = AlgebraPresentation(op_quiver, op_relations, self.field)
         op = AlgebraBasis(op_pres, op_basis, op_table, self.nilpotency, self.field)
         op._opposite = self
@@ -392,90 +388,40 @@ class AlgebraBasis:
                         )
 
 
-def _paths_up_to(quiver, max_len, path_cap=20000):
+def _next_level(quiver, level, path_cap=20000):
+    """The paths one arrow longer than those of ``level``, sorted by word."""
+    nxt = sorted(
+        Path(p.length + 1, (a.label,) + p.arrows, p.source, a.target)
+        for p in level
+        for a in quiver.by_source[p.target]
+    )
+    if len(nxt) > path_cap:
+        raise NotFiniteDimensional(
+            f"path count {len(nxt)} exceeds cap while searching for a nilpotency bound"
+        )
+    return nxt
+
+
+def _paths_up_to(quiver, max_len):
     """Lists of paths per length 0..max_len, each sorted by word."""
     by_len = [sorted(quiver.trivial_path(v) for v in quiver.vertices)]
     for _ in range(max_len):
-        prev = by_len[-1]
-        nxt = []
-        for p in prev:
-            start = p.target if p.length > 0 else p.source
-            for a in quiver.by_source[start]:
-                word = (a.label,) + p.arrows
-                nxt.append(Path(p.length + 1, word, p.source, a.target))
-        nxt.sort()
-        if len(nxt) > path_cap:
-            raise NotFiniteDimensional(
-                f"path count {len(nxt)} exceeds cap while searching for a nilpotency bound"
-            )
-        by_len.append(nxt)
+        by_len.append(_next_level(quiver, by_len[-1]))
     return by_len
 
 
-def build_basis(presentation, bound=32):
-    """Quotient basis of kQ/I, or NotFiniteDimensional past the bound.
-
-    For each candidate N the ideal span is saturated with the products
-    u*r*v whose components all fit in length <= N; N is accepted once every
-    length-N path lies in that span.  Because each generator genuinely
-    belongs to I, acceptance certifies rad^N <= I exactly.
-    """
-    quiver = presentation.quiver
-    field = presentation.field
-    relations = presentation.relations
-    for r in relations:
-        if any(p.length < 2 for _, p in r.terms):
-            raise InadmissibleIdeal("relation component of length < 2")
-
-    nilpotency = None
-    for cand in range(1, bound + 1):
-        by_len = _paths_up_to(quiver, cand)
-        if not by_len[cand]:
-            nilpotency = cand
-            break
-        coords = [p for level in by_len for p in level]
-        coord_index = {p: i for i, p in enumerate(coords)}
-        span = RowSpace(len(coords), field=field)
-        for r in relations:
-            slack = cand - r.max_length
-            if slack < 0:
-                continue
-            for ulen in range(slack + 1):
-                for vlen in range(slack + 1 - ulen):
-                    for u in by_len[ulen]:
-                        if u.source != r.target:
-                            continue
-                        for v in by_len[vlen]:
-                            if v.target != r.source:
-                                continue
-                            vec = [field.zero] * len(coords)
-                            for c, p in r.terms:
-                                w = quiver.compose(u, quiver.compose(p, v))
-                                vec[coord_index[w]] = vec[coord_index[w]] + c
-                            span.add(vec)
-        if all(
-            span.contains(
-                [field.one if q == p else field.zero for q in coords]
-            )
-            for p in by_len[cand]
-        ):
-            nilpotency = cand
-            break
-    if nilpotency is None:
-        raise NotFiniteDimensional(
-            f"no nilpotency bound <= {bound}; the quotient looks infinite-dimensional"
-        )
-
-    by_len = _paths_up_to(quiver, max(nilpotency - 1, 0))
-    coords = [p for level in by_len for p in level]
-    coord_index = {p: i for i, p in enumerate(coords)}
-    low_span = RowSpace(len(coords), field=field)
-    for r in relations:
-        slack = nilpotency - 1 - r.min_length
-        if slack < 0:
-            continue
-        for ulen in range(slack + 1):
-            for vlen in range(slack + 1 - ulen):
+def _ideal_span(presentation, by_len, slack, n):
+    """Span of the products u*r*v with |u| + |v| <= slack(r) over the paths
+    of ``by_len`` shorter than n, terms of length >= n dropped: the paths,
+    their index, and the reduced rows of the span by pivot."""
+    quiver, field = presentation.quiver, presentation.field
+    coords = [p for level in by_len[:n] for p in level]
+    index = {p: i for i, p in enumerate(coords)}
+    span = RowSpace(len(coords), field=field)
+    for r in presentation.relations:
+        s = slack(r)
+        for ulen in range(s + 1):
+            for vlen in range(s + 1 - ulen):
                 for u in by_len[ulen]:
                     if u.source != r.target:
                         continue
@@ -483,40 +429,68 @@ def build_basis(presentation, bound=32):
                         if v.target != r.source:
                             continue
                         vec = [field.zero] * len(coords)
-                        nonzero = False
                         for c, p in r.terms:
                             w = quiver.compose(u, quiver.compose(p, v))
-                            if w.length < nilpotency:
-                                vec[coord_index[w]] = vec[coord_index[w]] + c
-                                nonzero = True
-                        if nonzero:
-                            low_span.add(vec)
-    pivot_set = set(low_span.pivots)
-    basis = [p for i, p in enumerate(coords) if i not in pivot_set]
-    basis_pos = {p: i for i, p in enumerate(basis)}
+                            if w.length < n:
+                                vec[index[w]] = vec[index[w]] + c
+                        span.add(vec)
+    return coords, index, dict(zip(span.pivots, span.rows))
+
+
+def build_basis(presentation, bound=32):
+    """Quotient basis of kQ/I, or NotFiniteDimensional past the bound.
+
+    Candidate N is accepted once every length-N path lies in the span of
+    the products u*r*v that fit in length <= N; as each generator lies in I,
+    that certifies rad^N <= I exactly.  The normal forms are read off the
+    span of I/rad^N: the products whose shortest term is shorter than N.
+    """
+    quiver = presentation.quiver
+    field = presentation.field
+    for r in presentation.relations:
+        if any(p.length < 2 for _, p in r.terms):
+            raise InadmissibleIdeal("relation component of length < 2")
+
+    by_len = _paths_up_to(quiver, 0)
+    for nilpotency in range(1, bound + 1):
+        by_len.append(_next_level(quiver, by_len[-1]))
+        if not by_len[nilpotency]:
+            break
+        coords, _index, rows = _ideal_span(
+            presentation, by_len, lambda r: nilpotency - r.max_length, nilpotency + 1
+        )
+        # the length-N paths are the last coordinates, so in reduced echelon
+        # form they all lie in the span iff each of them is a pivot
+        if all(i in rows for i in range(len(coords) - len(by_len[nilpotency]), len(coords))):
+            break
+    else:
+        raise NotFiniteDimensional(
+            f"no nilpotency bound <= {bound}; the quotient looks infinite-dimensional"
+        )
+
+    coords, index, rows = _ideal_span(
+        presentation, by_len, lambda r: nilpotency - 1 - r.min_length, nilpotency
+    )
+    free = [i for i in range(len(coords)) if i not in rows]
+    position = {i: k for k, i in enumerate(free)}
 
     def normal_form(path):
         """Sparse normal form [(basis index, coeff)] of a coordinate path."""
-        if path.length >= nilpotency:
-            return []
-        vec = [field.zero] * len(coords)
-        vec[coord_index[path]] = field.one
-        vec = low_span.reduce(vec)
-        return [(basis_pos[coords[i]], c) for i, c in enumerate(vec) if c]
+        i = index[path]
+        if i in position:
+            return [(position[i], field.one)]
+        return [(position[j], -c) for j, c in enumerate(rows[i]) if c and j != i]
 
-    table = []
-    for p in basis:
-        row = []
-        for q in basis:
-            if p.source != q.target:
-                row.append([])
-                continue
-            if p.length + q.length >= nilpotency:
-                row.append([])
-                continue
-            row.append(normal_form(quiver.compose(p, q)))
-        table.append(row)
-
+    basis = [coords[i] for i in free]
+    table = [
+        [
+            normal_form(quiver.compose(p, q))
+            if p.source == q.target and p.length + q.length < nilpotency
+            else []
+            for q in basis
+        ]
+        for p in basis
+    ]
     alg = AlgebraBasis(presentation, basis, table, nilpotency, field)
     alg.check_associativity()
     return alg

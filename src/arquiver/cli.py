@@ -58,13 +58,17 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _load_algebra(path):
+    return build_basis(parse_presentation(_read(path)))
+
+
 def _load_quiver(path, max_vertices, max_dim):
     """Either knit an algebra file or import a translation-quiver file."""
     text = _read(path)
     if is_algebra_file(text):
         alg = build_basis(parse_presentation(text))
-        return alg, knit(alg, max_vertices=max_vertices, max_dim=max_dim)
-    return None, parse_translation_quiver(text)
+        return knit(alg, max_vertices=max_vertices, max_dim=max_dim)
+    return parse_translation_quiver(text)
 
 
 def _vertex_names(arq, text):
@@ -150,12 +154,12 @@ def _build_parser():
 
 def _run(args):
     if args.command == "algebra" and args.subcommand == "check":
-        alg = build_basis(parse_presentation(_read(args.file)))
+        alg = _load_algebra(args.file)
         _emit(render_report(algebra_summary(alg)), None)
         return EXIT_OK
 
     if args.command == "ar" and args.subcommand == "build":
-        alg = build_basis(parse_presentation(_read(args.file)))
+        alg = _load_algebra(args.file)
         try:
             arq = knit(alg, max_vertices=args.max_vertices, max_dim=args.max_dim)
         except LimitExceeded as exc:
@@ -169,26 +173,26 @@ def _run(args):
         return EXIT_OK
 
     if args.command == "ar" and args.subcommand == "dot":
-        _alg, arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
+        arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
         _emit(export_dot(arq), args.out)
         return EXIT_OK
 
     if args.command == "cut" and args.subcommand == "check":
-        _alg, arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
+        arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
         names = _vertex_names(arq, args.modules)
         analysis = cut_analysis(arq, names)
         _emit(render_report(analysis), None)
         return EXIT_OK if analysis["is_cut"] else EXIT_NEGATIVE
 
     if args.command == "cut" and args.subcommand == "enumerate":
-        _alg, arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
+        arq = _load_quiver(args.file, args.max_vertices, args.max_dim)
         cuts = enumerate_cuts(arq, cap=args.cap)
         report = {"count": len(cuts), "cuts": [sorted(c) for c in cuts]}
         _emit(render_report(report), None)
         return EXIT_OK
 
     if args.command == "tilted" and args.subcommand == "certify":
-        alg = build_basis(parse_presentation(_read(args.file)))
+        alg = _load_algebra(args.file)
         cert = certify_tilted(
             alg, max_vertices=args.max_vertices, max_dim=args.max_dim, cap=args.cap
         )
@@ -200,7 +204,7 @@ def _run(args):
         return EXIT_LIMIT
 
     if args.command == "quotient":
-        alg = build_basis(parse_presentation(_read(args.file)))
+        alg = _load_algebra(args.file)
         arq = knit(alg, max_vertices=args.max_vertices, max_dim=args.max_dim)
         names = _vertex_names(arq, args.modules)
         result = quotient_by_cut(alg, arq, names)

@@ -8,7 +8,7 @@ cuts and stops at the first faithful one; a walk that ends without one
 refutes.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
 from .errors import CapExceeded, InternalError, LimitExceeded, PreconditionError
@@ -41,11 +41,25 @@ class CutViolation:
     detail: str
 
     def to_json(self):
-        return {
-            "arrow": list(self.arrow),
-            "condition": self.condition,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "arrow": list(self.arrow)}
+
+
+def _cut_conditions(arq):
+    """The cut conditions, one ``(arrow, condition, guard, other, translate)``
+    per arrow X -> Y and condition, in arrow order.
+
+    Condition 1: when X (the guard) is in the cut, exactly one of Y (the
+    other) and tau Y (the translate) is.  Condition 2: when Y is in the cut,
+    exactly one of X and tau^- X is.  A zero translate is None; a condition
+    whose translate is not known yet, on a partial quiver, is left out.
+    """
+    for (x, y) in sorted(arq.arrows):
+        for condition, guard, other, (status, t) in (
+            (1, x, y, arq.tau_status(y)),
+            (2, y, x, arq.tau_inv_status(x)),
+        ):
+            if status != "unknown":
+                yield (x, y), condition, guard, other, t
 
 
 def is_cut(arq, cut):
@@ -57,25 +71,14 @@ def is_cut(arq, cut):
     if not cut:
         raise PreconditionError("a cut must be nonempty")
     violations = []
-    for (x, y) in sorted(arq.arrows):
-        if x in cut:
-            status, ty = arq.tau_status(y)
-            if status != "unknown":
-                hits = (y in cut) + (ty in cut if ty is not None else 0)
-                if hits != 1:
-                    which = "neither" if hits == 0 else "both"
-                    violations.append(
-                        CutViolation((x, y), 1, f"{which} of {y} and tau {y} in the cut")
-                    )
-        if y in cut:
-            status, tx = arq.tau_inv_status(x)
-            if status != "unknown":
-                hits = (x in cut) + (tx in cut if tx is not None else 0)
-                if hits != 1:
-                    which = "neither" if hits == 0 else "both"
-                    violations.append(
-                        CutViolation((x, y), 2, f"{which} of {x} and tau^- {x} in the cut")
-                    )
+    for arrow, condition, guard, other, t in _cut_conditions(arq):
+        hits = (other in cut) + (t in cut)
+        if guard in cut and hits != 1:
+            which = "neither" if hits == 0 else "both"
+            tau = "tau" if condition == 1 else "tau^-"
+            violations.append(
+                CutViolation(arrow, condition, f"{which} of {other} and {tau} {other} in the cut")
+            )
     return not violations, violations
 
 
@@ -270,15 +273,10 @@ def iter_cuts(arq, cap=10**6, conflict=None):
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
     watch = [[] for _ in names]
-    for (x, y) in sorted(arq.arrows):
-        for guard, other, (status, t) in (
-            (x, y, arq.tau_status(y)),
-            (y, x, arq.tau_inv_status(x)),
-        ):
-            if status != "unknown":
-                cond = (index[guard], index[other], -1 if t is None else index[t])
-                for v in set(cond) - {-1}:
-                    watch[v].append(cond)
+    for _arrow, _condition, guard, other, t in _cut_conditions(arq):
+        cond = (index[guard], index[other], -1 if t is None else index[t])
+        for v in set(cond) - {-1}:
+            watch[v].append(cond)
 
     value = [None] * n + [False]
     trail = []
@@ -387,14 +385,7 @@ class CrosscheckRecord:
         )
 
     def to_json(self):
-        return {
-            "pdim_le_1": self.pdim_le_1,
-            "ext1_dim": self.ext1_dim,
-            "summands": self.summands,
-            "simples": self.simples,
-            "end_hereditary": self.end_hereditary,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _end_hereditary(arq, cut):
@@ -458,18 +449,8 @@ class Certificate:
     blocks: list = None
 
     def to_json(self):
-        out = {"verdict": self.verdict}
-        out["witness"] = self.witness
-        out["hom_forward"] = self.hom_forward
-        out["hom_backward"] = self.hom_backward
-        out["annihilator_generators"] = self.annihilator_generators
-        out["sincere"] = self.sincere
-        out["faithful"] = self.faithful
-        out["slice_confirmed"] = self.slice_confirmed
-        out["crosscheck"] = self.crosscheck.to_json() if self.crosscheck else None
-        out["cuts_examined"] = self.cuts_examined
-        out["sincere_qualifying_cuts"] = self.sincere_qualifying_cuts
-        out["limit"] = self.limit
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "blocks"}
+        out["crosscheck"] = self.crosscheck and self.crosscheck.to_json()
         if self.blocks is not None:
             out["blocks"] = [b.to_json() for b in self.blocks]
         return out
@@ -784,27 +765,15 @@ def cut_analysis(arq, cut):
     if arq.abstract:
         out.update(dict.fromkeys(["hom_tau", "sincere", "faithful", "annihilator", "convexity"]))
     else:
-        ht = hom_tau_test(arq, cut)
+        out["hom_tau"] = asdict(hom_tau_test(arq, cut))
         mods = [arq.module_of(n) for n in sorted(set(cut))]
         ann = annihilator(mods)
-        conv = convexity_checks(arq, cut)
-        out["hom_tau"] = {
-            "forward": ht.forward,
-            "backward": ht.backward,
-            "all_zero": ht.all_zero,
-        }
         out["sincere"] = is_sincere(mods)
         out["faithful"] = not ann
         out["annihilator"] = {
             "dimension": len(ann),
             "generators": [arq.alg.element_label(g) for g in ann],
         }
-        out["convexity"] = {
-            "weakly_convex": conv.weakly_convex,
-            "convex_in_ind": conv.convex_in_ind,
-            "acyclic": conv.acyclic,
-        }
-    ss = is_slice_section(arq, cut)
-    out["slice"] = ss.slice
-    out["section"] = ss.section
+        out["convexity"] = asdict(convexity_checks(arq, cut))
+    out.update(asdict(is_slice_section(arq, cut)))
     return out

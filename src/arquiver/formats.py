@@ -12,13 +12,15 @@ from .errors import InputSyntaxError
 from .knitting import abstract_quiver
 
 
+_ALGEBRA_LINE = re.compile(r"field|relation|radical_square_zero|arrow\s+[A-Za-z_]\w*\s*:")
+
+
 def is_algebra_file(text):
-    """Algebra files carry a `field` line; translation-quiver files never do."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("field"):
-            return True
-    return False
+    """Whether a line is one that only algebra files have: a ``field``,
+    ``relation`` or ``radical_square_zero`` line, or an arrow line with a
+    label (``arrow x: a -> b``).  A file of vertex lines alone is read as a
+    translation-quiver file."""
+    return any(_ALGEBRA_LINE.match(raw.split("#", 1)[0].strip()) for raw in text.splitlines())
 
 
 # -- translation-quiver files ------------------------------------------------

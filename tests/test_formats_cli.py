@@ -417,3 +417,33 @@ def test_cli_internal_invariant_failure_is_a_clean_refusal(monkeypatch, capsys):
     assert captured.err == "error: Fitting summands do not split the module\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_algebra_lines_mark_an_algebra_file():
+    for line in ["field F 3", "relation b*a", "radical_square_zero", "arrow x: a -> b"]:
+        assert is_algebra_file(f"vertex a\nvertex b\n{line}\n")
+    assert not is_algebra_file("vertex a\nvertex b\n")
+    assert not is_algebra_file("vertex a\n# field Q\narrow a -> a\ntau a = a\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["cut", "enumerate"], ["cut", "check", "--modules", "P_a,S_b"], ["ar", "dot"], ["tilted", "certify"]],
+)
+def test_an_algebra_file_without_a_field_line_is_read_over_q(tmp_path, capsys, command):
+    """Every command reads such a file as an algebra over Q, as it reads the
+    same file with ``field Q`` on top; ``cut check``, ``cut enumerate`` and
+    ``ar dot`` once read it as a translation-quiver file and refused its
+    arrow line."""
+    body = "vertex a\nvertex b\narrow x: a -> b\n"
+    outputs = []
+    for name, text in [("bare.alg", body), ("q.alg", "field Q\n" + body)]:
+        path = tmp_path / name
+        path.write_text(text)
+        extra = ["--out", str(tmp_path / f"{name}.dot")] if command == ["ar", "dot"] else []
+        rc = main([*command[:2], str(path), *command[2:], *extra])
+        dot = (tmp_path / f"{name}.dot").read_text() if extra else None
+        outputs.append((rc, capsys.readouterr(), dot))
+    assert outputs[0] == outputs[1]
+    rc, captured, _dot = outputs[0]
+    assert (rc, captured.err) == (0, "")

@@ -6,7 +6,9 @@ exempt.  A local is dead when a function assigns it (by ``=``, augmented
 assignment, a ``for`` or ``with`` target or tuple unpacking) and neither
 the function nor any function nested in it reads it.  Names that start
 with ``_`` are exempt from both checks, which is how an ignored value is
-marked.
+marked.  A module-level function or class whose name starts with ``_`` is
+private to the package, so some module in it must read it (as a name or an
+attribute); one that none reads is a helper left behind.
 """
 
 import ast
@@ -63,6 +65,22 @@ def dead_locals(tree):
     return out
 
 
+def unread_private_definitions(trees):
+    """(module, line, name) of each module-level ``_name`` function or class
+    that no module of ``trees`` (a dict name -> ast) reads."""
+    reads = set()
+    for tree in trees.values():
+        reads |= _reads(tree)
+        reads |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, _SCOPES) and node.name.startswith("_")
+        and not node.name.startswith("__") and node.name not in reads
+    ]
+
+
 def _findings(check, skip_init):
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -81,6 +99,14 @@ def test_no_dead_locals():
     assert _findings(dead_locals, skip_init=False) == []
 
 
+def test_no_unread_private_definitions():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert unread_private_definitions(trees) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -97,3 +123,16 @@ def test_the_checks_see_what_they_look_for():
     )
     assert sorted(unused_imports(tree)) == [(1, "os")]
     assert sorted(dead_locals(tree)) == [(4, "b"), (5, "i"), (10, "k")]
+    trees = {
+        "a.py": ast.parse(
+            "def _used(): pass\n"
+            "def _left(): pass\n"
+            "class _Attr: pass\n"
+            "class _Dead: pass\n"
+            "def __dunder__(): pass\n"
+            "def f():\n"
+            "    def _nested(): pass\n"
+        ),
+        "b.py": ast.parse("from a import _left\n_used()\nx = m._Attr\n"),
+    }
+    assert unread_private_definitions(trees) == [("a.py", 2, "_left"), ("a.py", 4, "_Dead")]
