@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from .errors import InadmissibleIdeal, InputSyntaxError, NotFiniteDimensional
 from .linalg import QQ, PrimeField, RowSpace
 
+PATH_CAP = 20000                # most paths of one length listed in the basis build
+ASSOCIATIVITY_CHECK_DIM = 40    # largest dimension whose table is checked
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -320,13 +323,12 @@ class AlgebraBasis:
     def multiply(self, x, y):
         """Product of two coordinate vectors, in normal form."""
         out = self.zero_element()
+        y_terms = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
             row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            for j, yj in y_terms:
                 for k, c in row[j]:
                     out[k] = out[k] + xi * yj * c
         return out
@@ -360,9 +362,9 @@ class AlgebraBasis:
         self._opposite = op
         return op
 
-    def check_associativity(self, limit=40):
+    def check_associativity(self):
         """Exhaustive (x*y)*z = x*(y*z) over basis triples for small dims."""
-        if self.dim > limit:
+        if self.dim > ASSOCIATIVITY_CHECK_DIM:
             return
         for i in range(self.dim):
             for j in range(self.dim):
@@ -388,14 +390,14 @@ class AlgebraBasis:
                         )
 
 
-def _next_level(quiver, level, path_cap=20000):
+def _next_level(quiver, level):
     """The paths one arrow longer than those of ``level``, sorted by word."""
     nxt = sorted(
         Path(p.length + 1, (a.label,) + p.arrows, p.source, a.target)
         for p in level
         for a in quiver.by_source[p.target]
     )
-    if len(nxt) > path_cap:
+    if len(nxt) > PATH_CAP:
         raise NotFiniteDimensional(
             f"path count {len(nxt)} exceeds cap while searching for a nilpotency bound"
         )

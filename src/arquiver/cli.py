@@ -208,22 +208,9 @@ def _run(args):
         arq = knit(alg, max_vertices=args.max_vertices, max_dim=args.max_dim)
         names = _vertex_names(arq, args.modules)
         result = quotient_by_cut(alg, arq, names)
-        report = {
-            "annihilator": {
-                "dimension": result.annihilator_dim,
-                "generators": result.annihilator_generators,
-            },
-            "quotient": algebra_summary(result.algebra),
-            "lifted_cut": result.lifted_cut,
-            "delta_is_cut": result.delta_is_cut,
-            "delta_is_slice": result.delta_is_slice,
-            "tau_preserved": result.tau_preserved,
-            "projectives_remain_projective": result.projectives_remain_projective,
-            "certificate": result.certificate.to_json(),
-        }
         if args.emit_algebra:
             _write(args.emit_algebra, emit_algebra_file(result.presentation))
-        _emit(render_report(report), None)
+        _emit(render_report(result.to_json()), None)
         return EXIT_OK
 
     raise InputSyntaxError(f"unhandled command {args.command}")

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .algebra import AlgebraPresentation, Quiver, Relation, build_basis, _paths_up_to
 from .errors import CapExceeded, InternalError, LimitExceeded, PreconditionError
+from .formats import algebra_summary
 from .graph import closure, components
 from .knitting import (
     DEFAULT_MAX_DIM,
@@ -610,6 +611,17 @@ class QuotientResult:
     tau_preserved: bool
     projectives_remain_projective: bool
 
+    def to_json(self):
+        """The report of ``arquiver quotient``."""
+        verbatim = ["lifted_cut", "delta_is_cut", "delta_is_slice", "tau_preserved",
+                    "projectives_remain_projective"]
+        return {
+            "annihilator": {"dimension": self.annihilator_dim, "generators": self.annihilator_generators},
+            "quotient": algebra_summary(self.algebra),
+            **{name: getattr(self, name) for name in verbatim},
+            "certificate": self.certificate.to_json(),
+        }
+
 
 def present_quotient(alg, ideal_rows):
     """Recover a bound quiver presentation of B = A/ideal.
@@ -686,7 +698,7 @@ def lift_module(m, b):
     return Module(b, dims, mats)
 
 
-def quotient_by_cut(alg, arq, cut, cap=10**6):
+def quotient_by_cut(alg, arq, cut):
     """B = A/ann(cut) with its certificate, per the quotient theorem.
 
     Preconditions: the subquiver is a cut and its forward Hom(X, tau Y)
@@ -716,7 +728,7 @@ def quotient_by_cut(alg, arq, cut, cap=10**6):
         lifted_names.append(name)
     delta_cut, _ = is_cut(arq_b, lifted_names)
     ss = is_slice_section(arq_b, lifted_names)
-    cert = certify_tilted(b, arq=arq_b, cap=cap)
+    cert = certify_tilted(b, arq=arq_b)
 
     # translate compatibility for lifted non-projectives, and projectivity
     # preservation for lifted projectives

@@ -6,13 +6,12 @@ class ArquiverError(Exception):
 
 
 class InputSyntaxError(ArquiverError):
-    """Malformed input file; carries line/column diagnostics."""
+    """Malformed input file; carries the line number when there is one."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}" + (f", col {column}" if column else "") + f": {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

@@ -442,11 +442,10 @@ def path_classify(path, arq):
     return PathClassification(sectional, presectional)
 
 
-def simple_arrow_paths(arq, max_len, start=None):
+def simple_arrow_paths(arq, max_len):
     """All arrow paths of length 1..max_len (vertex name sequences)."""
     out = []
-    starts = [start] if start else arq.names()
-    frontier = [[n] for n in starts]
+    frontier = [[n] for n in arq.names()]
     for _ in range(max_len):
         nxt = []
         for p in frontier:

@@ -628,9 +628,9 @@ def is_isomorphic(x, y):
     """Exact isomorphism test.
 
     ``find_isomorphism`` certifies an isomorphism outright, and its failure
-    refutes one when End(X) is local; otherwise both sides are decomposed
-    and matched piecewise, again by ``find_isomorphism``, which is complete
-    on the pieces since ``decompose_with_inclusions`` certified each local.
+    refutes one when End(X) is local; otherwise X and Y are isomorphic iff
+    ``decompose`` gives them as many groups and each group of X matches, by
+    ``find_isomorphism``, one of Y with equal multiplicity.
     """
     if x.dim_vector != y.dim_vector:
         return False
@@ -638,21 +638,11 @@ def is_isomorphic(x, y):
         return True
     if end_radical_coords(x, hom_basis(x, x)) is not None:
         return False
-    dx = decompose_with_inclusions(x)
-    dy = decompose_with_inclusions(y)
-    if len(dx) != len(dy):
-        return False
-    remaining = [p for p, _ in dy]
-    for piece, _ in dx:
-        hit = None
-        for i, other in enumerate(remaining):
-            if find_isomorphism(piece, other) is not None:
-                hit = i
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
+    gx, gy = decompose(x), decompose(y)
+    return len(gx) == len(gy) and all(
+        any(k == j and find_isomorphism(piece, other) is not None for other, j in gy)
+        for piece, k in gx
+    )
 
 
 def _fitting_split(m, phi):
@@ -921,11 +911,7 @@ def _action_rows(mods):
         for w in alg.quiver.vertices:
             if m.dims[w] == 0:
                 continue
-            targets = {}
-            for k, p in enumerate(alg.basis):
-                if p.source == w:
-                    targets.setdefault(p.target, []).append(k)
-            for u, ks in targets.items():
+            for u, ks in _projective_piece(alg, w)[0].items():
                 if m.dims[u] == 0:
                     continue
                 acts = {k: m.path_action(alg.basis[k]) for k in ks}

@@ -8,6 +8,8 @@ independent oracle for End(M).  Its radical is exact in characteristic 0
 and over F_p once p exceeds the dimension; a smaller p is refused.
 """
 
+from math import lcm
+
 from .errors import (
     InadmissibleIdeal,
     InternalError,
@@ -15,6 +17,9 @@ from .errors import (
     UnsupportedRadicalComputation,
 )
 from .linalg import QQ, Matrix, RowSpace, kernel_basis, solve
+
+VERIFY_DIM = 40         # largest dimension whose structure constants are checked
+LIFT_ITERATIONS = 64    # most steps of the idempotent lifting e -> 3e^2 - 2e^3
 
 
 # -- polynomial helpers (dense lists, low degree first) -----------------
@@ -78,71 +83,40 @@ def rational_roots(p, field=QQ):
 
     Returns (roots, residual_degree) where roots is a list of
     (root, multiplicity) and residual_degree is the degree left after
-    stripping every in-field linear factor.
+    stripping every in-field linear factor.  A non-root of p divides no
+    quotient of p, so one pass over the ascending candidates suffices.
     """
     p = poly_normalize(p, field)
     if poly_degree(p) == 0:
         return [], 0
     roots = []
-    if field.char == 0:
-
-        def candidates(poly):
-            # integer-cleared polynomial: p/q with p | a0, q | a_n
-            from math import gcd
-
-            denom_lcm = 1
-            for c in poly:
-                denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-            ints = [int(c * denom_lcm) for c in poly]
-            while ints and ints[0] == 0:
-                # handled separately by the zero-root loop below
-                ints = ints[1:]
-            if not ints:
-                return []
-            a0, an = abs(ints[0]), abs(ints[-1])
-            ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
-            qs = [d for d in range(1, an + 1) if an % d == 0]
-            out = set()
-            for qq in qs:
-                r = field.inv(qq)
-                for pp in ps:
-                    out.add(pp * r)
-                    out.add(-pp * r)
-            return sorted(out)
-
-        # strip zero roots first
-        zero_mult = 0
-        while poly_degree(p) > 0 and not p[0]:
-            p = p[1:]
-            zero_mult += 1
-        if zero_mult:
-            roots.append((field.zero, zero_mult))
-        changed = True
-        while poly_degree(p) > 0 and changed:
-            changed = False
-            for lam in candidates(p):
-                if not poly_eval(p, lam, field):
-                    mult = 0
-                    while poly_degree(p) > 0:
-                        q, r = poly_divide_linear(p, lam, field)
-                        if r:
-                            break
-                        p = poly_normalize(q, field)
-                        mult += 1
-                    roots.append((lam, mult))
-                    changed = True
-                    break
-    else:
-        for lam in _fp_roots(p, field):
-            mult = 0
-            while poly_degree(p) > 0:
-                q, r = poly_divide_linear(p, lam, field)
-                if r:
-                    break
-                p = poly_normalize(q, field)
-                mult += 1
+    candidates = _fp_roots(p, field) if field.char else _rational_candidates(p, field)
+    for lam in candidates:
+        mult = 0
+        while poly_degree(p) > 0:
+            q, r = poly_divide_linear(p, lam, field)
+            if r:
+                break
+            p = poly_normalize(q, field)
+            mult += 1
+        if mult:
             roots.append((lam, mult))
     return roots, poly_degree(p)
+
+
+def _rational_candidates(p, field):
+    """0 when p(0) = 0, then every +-u/w of the rational root theorem,
+    ascending: u divides the lowest nonzero and w the leading coefficient
+    of p cleared of denominators.  An integral candidate is an ``int``."""
+    scale = lcm(*(c.denominator for c in p))
+    a0, an = abs(int(next(c for c in p if c) * scale)), abs(int(p[-1] * scale))
+    out = set()
+    for w in (d for d in range(1, an + 1) if an % d == 0):
+        r = field.inv(w)
+        for u in (d for d in range(1, a0 + 1) if a0 % d == 0):
+            out.add(u * r)
+            out.add(-u * r)
+    return ([field.zero] if not p[0] else []) + sorted(out)
 
 
 # -- roots over F_p ------------------------------------------------------
@@ -253,16 +227,16 @@ class StructureAlgebra:
 
     ``table[i][j]`` is the coordinate vector of b_i * b_j and ``unit`` the
     coordinates of 1.  Associativity and unitality are verified over all
-    basis triples at build time (skipped above ``check_limit``).
+    basis triples at build time, up to dimension ``VERIFY_DIM``.
     """
 
-    def __init__(self, table, unit, field=QQ, labels=None, check_limit=40):
+    def __init__(self, table, unit, field=QQ, labels=None):
         self.dim = len(table)
         self.table = table
         self.unit = list(unit)
         self.field = field
         self.labels = labels or [f"b{i}" for i in range(self.dim)]
-        if self.dim <= check_limit:
+        if self.dim <= VERIFY_DIM:
             self._verify()
 
     def _verify(self):
@@ -452,10 +426,10 @@ def split_commutative_semisimple(alg):
     return idempotents
 
 
-def lift_idempotent(alg, x, max_iter=64):
+def lift_idempotent(alg, x):
     """Lift x (idempotent modulo the radical) to an exact idempotent."""
     e = list(x)
-    for _ in range(max_iter):
+    for _ in range(LIFT_ITERATIONS):
         sq = alg.mul(e, e)
         if sq == e:
             return e

@@ -3,7 +3,9 @@ the block quivers read off a knit against knits of the blocks alone.
 
 The digests are sha256 prefixes of rendered reports, recorded before the cut
 walk propagated its conditions and before a disconnected quotient was
-certified from its own knit; both changes must leave every byte alone.
+certified from its own knit; both changes must leave every byte alone.  The
+digest of the quotients of algebras with long paths was recorded before
+``QuotientResult.to_json`` and the one-pass ``rational_roots``.
 """
 
 import hashlib
@@ -20,10 +22,11 @@ from arquiver.cuts import (
     iter_cuts,
     quotient_by_cut,
 )
-from arquiver.formats import algebra_summary, render_report
+from arquiver.formats import render_report
 from arquiver.graph import components
 from arquiver.knitting import knit
 from tests.conftest import FIXTURES
+from tests.test_cut_references import dynkin_text
 from tests.test_knitting import cycle_text
 
 
@@ -33,19 +36,7 @@ def _digest(text):
 
 def quotient_report(result):
     """The report ``arquiver quotient`` prints, built from the library result."""
-    return {
-        "annihilator": {
-            "dimension": result.annihilator_dim,
-            "generators": result.annihilator_generators,
-        },
-        "quotient": algebra_summary(result.algebra),
-        "lifted_cut": result.lifted_cut,
-        "delta_is_cut": result.delta_is_cut,
-        "delta_is_slice": result.delta_is_slice,
-        "tau_preserved": result.tau_preserved,
-        "projectives_remain_projective": result.projectives_remain_projective,
-        "certificate": result.certificate.to_json(),
-    }
+    return result.to_json()
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +57,42 @@ def test_cycle12_quotient_reports_are_pinned(cycle12_quotients):
         data.update(render_report(quotient_report(result)).encode())
     assert len(cycle12_quotients) == 97
     assert data.hexdigest()[:16] == "e3bf3b1188b4cf60"
+
+
+def rad3_cycle_text(n):
+    """The oriented n-cycle over Q with radical cube zero."""
+    lines = ["field Q"] + [f"vertex v{i}" for i in range(n)]
+    lines += [f"arrow a{i}: v{i} -> v{(i + 1) % n}" for i in range(n)]
+    lines += [f"relation a{(i + 2) % n}*a{(i + 1) % n}*a{i}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+# algebras with basis paths of length >= 2, which reach the branch of
+# ``present_quotient`` that spans rad^2 + ideal
+LONG_PATH_TEXTS = {
+    "A5 0000": (dynkin_text("A", 5, "0000"), 16),
+    "D4 000": (dynkin_text("D", 4, "000"), 14),
+    "a3_line.alg": ((FIXTURES / "a3_line.alg").read_text(), 4),
+    "cycle4 rad3": (rad3_cycle_text(4), 8),
+    "cycle5 rad3": (rad3_cycle_text(5), 10),
+}
+
+
+def test_quotients_of_algebras_with_long_paths_are_pinned():
+    data = hashlib.sha256()
+    for label, (text, count) in LONG_PATH_TEXTS.items():
+        alg = build_basis(parse_presentation(text))
+        assert max(p.length for p in alg.basis) >= 2
+        arq = knit(alg)
+        cuts = [sorted(cut) for cut in iter_cuts(arq, conflict=hom_tau_conflict(arq))]
+        assert len(cuts) == count, label
+        for cut in cuts:
+            result = quotient_by_cut(alg, arq, cut)
+            assert result.delta_is_cut and result.delta_is_slice, (label, cut)
+            assert result.tau_preserved and result.projectives_remain_projective, (label, cut)
+            assert result.certificate.verdict == "CERTIFIED_TILTED", (label, cut)
+            data.update(render_report(quotient_report(result)).encode())
+    assert data.hexdigest()[:16] == "52855f95ff297d3c"
 
 
 def _cli(tmp_path, capsys, command, text):

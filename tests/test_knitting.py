@@ -5,7 +5,9 @@ import pytest
 
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.errors import InputSyntaxError, LimitExceeded, PreconditionError
+from arquiver.formats import parse_translation_quiver
 from arquiver.knitting import (
+    PathClassification,
     abstract_quiver,
     knit,
     nonzero_path_exists,
@@ -174,6 +176,33 @@ def test_path_classify(arq_cycle4):
     assert res3.sectional and res3.presectional
     with pytest.raises(PreconditionError):
         path_classify(["P_b", "P_d"], arq_cycle4)
+
+
+def test_path_classify_without_a_translate_is_undecided():
+    # z is not projective and has no tau line, so tau z is unknown
+    arq = parse_translation_quiver("vertex x proj\nvertex y\nvertex z\narrow x -> y\narrow y -> z\n")
+    assert path_classify(["x", "y", "z"], arq) == PathClassification(True, None)
+
+
+def test_path_classify_without_the_mesh_arrow_is_not_presectional():
+    # tau c = w differs from a, and there is no arrow w -> b
+    arq = parse_translation_quiver(
+        "vertex a proj\nvertex b proj\nvertex w proj\nvertex c\n"
+        "arrow a -> b\narrow b -> c\ntau c = w\n"
+    )
+    assert path_classify(["a", "b", "c"], arq) == PathClassification(True, False)
+
+
+def test_sectional_paths_of_d4_are_presectional():
+    # imported here: tests.test_cut_references imports this module
+    from tests.test_cut_references import dynkin_text
+
+    arq = knit(build_basis(parse_presentation(dynkin_text("D", 4, "000"))))
+    sectional = [
+        cls for cls in (path_classify(p, arq) for p in simple_arrow_paths(arq, 2) if len(p) == 3)
+        if cls.sectional
+    ]
+    assert sectional == [PathClassification(True, True)] * 12
 
 
 def test_presectional_composites_reach_stated_depth(arq_cycle4, arq_cycle3, arq_b, arq_a2):

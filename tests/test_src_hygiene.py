@@ -9,12 +9,19 @@ with ``_`` are exempt from both checks, which is how an ignored value is
 marked.  A module-level function or class whose name starts with ``_`` is
 private to the package, so some module in it must read it (as a name or an
 attribute); one that none reads is a helper left behind.
+
+A parameter with a default is a knob: some call in ``src``, ``tests`` or
+``perfbench`` must pass it, by keyword or by position, or its value is a
+constant.  Calls are matched to definitions by bare or attribute name, a
+class name calls ``__init__``, and ``*args`` or ``**kwargs`` at a call
+counts as passing every parameter.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "arquiver"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "arquiver"
 
 
 def _reads(node):
@@ -81,6 +88,72 @@ def unread_private_definitions(trees):
     ]
 
 
+def defaulted_parameters(tree):
+    """(line, callee, parameter, position) of each parameter with a default.
+    The callee is the name a call uses (the class for ``__init__``) and the
+    position the index of a positional argument that fills the parameter,
+    ``self`` not counted, or None for a keyword-only parameter."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+            )
+            callee = cls if cls is not None and child.name == "__init__" else child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out.extend(
+                (a.lineno, callee, a.arg, i - bound)
+                for i, a in enumerate(positional[first:], first)
+            )
+            out.extend(
+                (a.lineno, callee, a.arg, None)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            )
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def calls_by_name(trees):
+    """Every call in ``trees``, keyed by the bare or attribute name called."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, parameter, position):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == parameter for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_knobs(tree, calls):
+    """(line, "callee(parameter)") of each defaulted parameter of ``tree``
+    that no call of ``calls`` passes."""
+    return [
+        (line, f"{callee}({parameter})")
+        for line, callee, parameter, position in defaulted_parameters(tree)
+        if not any(_passes(c, parameter, position) for c in calls.get(callee, []))
+    ]
+
+
 def _findings(check, skip_init):
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -105,6 +178,15 @@ def test_no_unread_private_definitions():
         for path in sorted(SRC.glob("*.py"))
     }
     assert unread_private_definitions(trees) == []
+
+
+def test_every_knob_is_set_somewhere():
+    calls = calls_by_name(
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for part in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / part).rglob("*.py"))
+    )
+    assert _findings(lambda tree: unset_knobs(tree, calls), skip_init=False) == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -136,3 +218,15 @@ def test_the_checks_see_what_they_look_for():
         "b.py": ast.parse("from a import _left\n_used()\nx = m._Attr\n"),
     }
     assert unread_private_definitions(trees) == [("a.py", 2, "_left"), ("a.py", 4, "_Dead")]
+    knobs = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "def g(x=0): pass\n"
+        "def h(y=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, size=1): pass\n"
+        "    def m(self, depth=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(width=1): pass\n"
+    )
+    calls = calls_by_name([ast.parse("f(0, c=1)\ng(*xs)\nK()\nk.m(2)\nK.s(3)\nh(**kw)\n")])
+    assert unset_knobs(knobs, calls) == [(1, "f(b)"), (1, "f(d)"), (5, "K(size)")]

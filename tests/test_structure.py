@@ -1,14 +1,16 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arquiver.errors import (
     InadmissibleIdeal,
     NonSplitEndomorphismRing,
     UnsupportedRadicalComputation,
 )
-from arquiver.linalg import Matrix, PrimeField
+from arquiver.linalg import QQ, Matrix, PrimeField
 from arquiver.structure import (
     StructureAlgebra,
     block_count,
@@ -23,6 +25,7 @@ from arquiver.structure import (
     rational_roots,
     split_commutative_semisimple,
 )
+from tests.roots_reference import reference_rational_roots
 
 F = Fraction
 
@@ -165,6 +168,79 @@ def test_rational_roots_over_large_prime_from_known_factors():
         found, left = rational_roots(poly, field)
         assert [(r.value, m) for r, m in found] == expected
         assert left == residual
+
+
+_ROOT_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 5, 7, 32003)]
+_ROOT_VALUES = ["0", "1", "-1", "2", "-3", "1/2", "-2/3"]
+_SCALES = ["1", "-1", "2", "-3/2", "5/7"]
+# monic quadratics and cubics, low degree first; each field uses the ones
+# with no root in it
+_FACTORS = [[1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 0, 1], [-2, 0, 0, 1], [1, 1, 0, 1], [1, 0, 1, 1]]
+
+
+def _in_field(field, text):
+    try:
+        return field.parse(text)
+    except ValueError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _rootless_factors(field):
+    """The ``_FACTORS`` with no root in the field: over Q a root of a monic
+    integer polynomial is an integer dividing its nonzero constant term, over
+    F_p the whole field is scanned."""
+    def value(f, x):
+        return sum(c * x**i for i, c in enumerate(f))
+
+    if field.char:
+        return [f for f in _FACTORS if all(value(f, x) % field.char for x in range(field.char))]
+    return [
+        f for f in _FACTORS
+        if f[0] and all(value(f, x) for d in range(1, abs(f[0]) + 1) for x in (d, -d))
+    ]
+
+
+def _times(field, f, g):
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@st.composite
+def split_polynomials(draw):
+    """(polynomial, field): a scaled product of linear factors, repeats
+    allowed, and of quadratics or cubics with no root in the field."""
+    field = draw(st.sampled_from(_ROOT_FIELDS))
+    roots = [r for r in (_in_field(field, t) for t in _ROOT_VALUES) if r is not None]
+    poly = [field.one]
+    for r in draw(st.lists(st.sampled_from(roots), max_size=7)):
+        poly = _times(field, poly, [-r, field.one])
+    for f in draw(st.lists(st.sampled_from(_rootless_factors(field)), max_size=2)):
+        poly = _times(field, poly, [field.from_int(c) for c in f])
+    scales = [c for c in (_in_field(field, t) for t in _SCALES) if c]
+    scale = draw(st.sampled_from(scales))
+    return [scale * c for c in poly], field
+
+
+def _described(result):
+    roots, residual = result
+    return [(r, repr(r), type(r), m) for r, m in roots], residual
+
+
+def test_every_root_field_has_rootless_factors():
+    assert all(_rootless_factors(field) for field in _ROOT_FIELDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_polynomials())
+def test_rational_roots_matches_the_restarting_search(case):
+    poly, field = case
+    assert _described(rational_roots(poly, field)) == _described(
+        reference_rational_roots(poly, field)
+    )
 
 
 def test_matrix_min_poly_nilpotent():
