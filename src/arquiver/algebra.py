@@ -160,19 +160,10 @@ def _parse_relation_expr(expr, quiver, field, line_no):
         raise InputSyntaxError("empty relation expression", line_no)
     terms = []
     sign = 1
-    i = 0
-    expect_term = True
-    while i < len(tokens):
-        tok = tokens[i]
+    for tok in tokens:
         if tok in "+-":
-            if expect_term and tok == "-":
+            if tok == "-":
                 sign = -sign
-            elif expect_term:
-                pass
-            else:
-                sign = 1 if tok == "+" else -1
-            expect_term = True
-            i += 1
             continue
         factors = [f.strip() for f in tok.split("*") if f.strip()]
         if not factors:
@@ -197,8 +188,6 @@ def _parse_relation_expr(expr, quiver, field, line_no):
             coeff = -coeff
         terms.append((coeff, path))
         sign = 1
-        expect_term = False
-        i += 1
     return terms
 
 

@@ -632,16 +632,7 @@ def present_quotient(alg, ideal_rows):
     """
     field = alg.field
     span = RowSpace(alg.dim, ideal_rows, field=field)
-    pivot_set = set(span.pivots)
-    reps = [i for i in range(alg.dim) if i not in pivot_set]
-
-    def project(x):
-        red = span.reduce(x)
-        return [red[i] for i in reps]
-
-    vertices = [
-        v for v in alg.quiver.vertices if any(project(alg.idempotent(v)))
-    ]
+    vertices = [v for v in alg.quiver.vertices if any(span.project(alg.idempotent(v)))]
     # arrows: independent surviving arrow images modulo rad^2 + ideal
     selector = span.copy()
     for i, p in enumerate(alg.basis):
@@ -656,7 +647,7 @@ def present_quotient(alg, ideal_rows):
 
     by_len = _paths_up_to(quiver, alg.nilpotency)
     paths = [p for level in by_len for p in level]
-    dim_b = len(reps)
+    dim_b = alg.dim - span.dim
     eval_cols = []
     for p in paths:
         if p.length == 0:
@@ -665,7 +656,7 @@ def present_quotient(alg, ideal_rows):
             vec = alg.basis_element(alg.arrow_index(p.arrows[-1]))
             for lab in reversed(p.arrows[:-1]):
                 vec = alg.multiply(alg.basis_element(alg.arrow_index(lab)), vec)
-        eval_cols.append(project(vec))
+        eval_cols.append(span.project(vec))
     eval_mat = Matrix(
         dim_b, len(paths), [[eval_cols[j][i] for j in range(len(paths))] for i in range(dim_b)], field
     )

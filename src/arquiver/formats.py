@@ -119,10 +119,9 @@ def emit_algebra_file(presentation):
 # -- DOT ----------------------------------------------------------------------
 
 
-def export_dot(arq, highlight=None):
+def export_dot(arq):
     """Deterministic DOT text: solid arrows, dashed translation edges,
     shape-coded projectives and injectives."""
-    highlight = set(highlight or ())
     lines = ["digraph ar_quiver {", "  rankdir=LR;"]
     for name in sorted(arq.vertices):
         v = arq.vertices[name]
@@ -145,12 +144,6 @@ def export_dot(arq, highlight=None):
         lines.append(f'  "{s}" -> "{t}"{label};')
     for x in sorted(arq.tau):
         lines.append(f'  "{x}" -> "{arq.tau[x]}" [style=dashed, constraint=false];')
-    if highlight:
-        lines.append("  subgraph cluster_highlight {")
-        lines.append("    label=\"cut\";")
-        for name in sorted(highlight):
-            lines.append(f'    "{name}";')
-        lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

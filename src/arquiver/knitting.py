@@ -14,7 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import InputSyntaxError, LimitExceeded, PreconditionError
 from .graph import components
-from .linalg import RowSpace
+from .linalg import Matrix, RowSpace
 from .modules import (
     HomSpace,
     ModuleMap,
@@ -233,8 +233,7 @@ class ARQuiver:
                 space = RowSpace(end.dim, rad, field=field)
             else:
                 d = self.hom_dim(x, y)
-                units = [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
-                space = RowSpace(d, units, field=field)
+                space = RowSpace(d, Matrix.identity(d, field).data, field=field)
             self._rad1[key] = space
         return self._rad1[key]
 

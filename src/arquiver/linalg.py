@@ -10,7 +10,10 @@ kernels and linear solves over an exact field, so determinism here means
 determinism everywhere: row reduction always picks the first nonzero pivot
 and scales its row by the pivot's inverse, taken once, and kernel bases are
 read off the reduced echelon form with free variables set to 1 one at a
-time.
+time.  Quotients are read off the same form: F^n / span has as basis the
+classes of the unit vectors at the non-pivot coordinates
+(``RowSpace.complement``), and the class of v has as coordinates the
+residue of v at those coordinates (``RowSpace.project``).
 
 Elimination skips zero entries: a pivot row is scaled and subtracted only
 over the columns where it is nonzero, from the pivot column on.  The
@@ -509,6 +512,22 @@ class RowSpace:
 
     def contains(self, v):
         return all(not a for a in self.reduce(v))
+
+    def complement(self):
+        """The non-pivot coordinates, ascending: the unit vectors there are
+        coset representatives of a basis of F^n / span."""
+        rest = list(range(self.n))
+        for p in reversed(self.pivots):
+            del rest[p]
+        return rest
+
+    def project(self, v):
+        """Coordinates of v + span in the basis of ``complement``: the
+        residue of v with its (zero) pivot entries deleted."""
+        red = self.reduce(v)
+        for p in reversed(self.pivots):
+            del red[p]
+        return red
 
     @property
     def dim(self):

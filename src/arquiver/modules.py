@@ -369,53 +369,43 @@ def kernel_submodule(f):
     return submodule_from_columns(f.src, cols)
 
 
-def quotient_by_subspaces(m, subspaces):
-    """Quotient of m by per-vertex invariant subspaces.
+def cokernel_module(f):
+    """Cokernel of a map; returns (C, projection, section matrices at the
+    vertices where M is nonzero).
 
-    subspaces[v] is a RowSpace inside M_v.  Returns (Q, projection,
-    section) where section picks the unit-vector coset representatives:
-    the non-pivot e_i.  The projection reads the RREF rows: e_p maps to
-    e_p - row_p for the pivot p of row_p, and a non-pivot e_i to e_i.
+    C_v = M_v / im f_v, and the section picks the unit-vector coset
+    representatives at ``RowSpace.complement``.  The projection sends e_j
+    to ``RowSpace.project(e_j)``, read off the RREF rows of the image: e_p
+    maps to -row_p at the complement for the pivot p of row_p, and the
+    representative e_i to its class.
     """
-    alg = m.alg
+    m = f.tgt
     field = m.field
-    reps = {}
     proj = {}
     sect = {}
-    for v in alg.quiver.vertices:
+    for v in m.alg.quiver.vertices:
         if not m.dims[v]:
-            reps[v] = []
-            sect[v] = Matrix.zeros(0, 0, field)
             continue
-        space = subspaces.get(v) or RowSpace(m.dims[v], field=field)
-        pivot_set = set(space.pivots)
-        rep = [i for i in range(m.dims[v]) if i not in pivot_set]
-        reps[v] = rep
+        image = RowSpace(m.dims[v], zip(*f.mats[v].data), field=field)
+        rep = image.complement()
         pm = Matrix.zeros(len(rep), m.dims[v], field)
         for r_i, i in enumerate(rep):
             pm.data[r_i][i] = field.one
-        for row, p in zip(space.rows, space.pivots):
+        for row, p in zip(image.rows, image.pivots):
             for r_i, i in enumerate(rep):
                 pm.data[r_i][p] = -row[i]
-        proj[v] = pm
         sm = Matrix.zeros(m.dims[v], len(rep), field)
-        for j, coord in enumerate(rep):
-            sm.data[coord][j] = field.one
-        sect[v] = sm
-    dims = {v: len(reps[v]) for v in alg.quiver.vertices}
+        for j, i in enumerate(rep):
+            sm.data[i][j] = field.one
+        proj[v], sect[v] = pm, sm
+    dims = {v: pm.nrows for v, pm in proj.items()}
     mats = {
         a.label: proj[a.target] * m.mats[a.label] * sect[a.source]
-        for a in alg.quiver.arrows.values()
-        if dims[a.target] and dims[a.source]
+        for a in m.alg.quiver.arrows.values()
+        if dims.get(a.target) and dims.get(a.source)
     }
-    q = Module(alg, dims, mats, check=False)
+    q = Module(m.alg, dims, mats, check=False)
     return q, ModuleMap(m, q, proj, check=False), sect
-
-
-def cokernel_module(f):
-    """Cokernel of a map; returns (C, projection, section matrices)."""
-    subspaces = {v: RowSpace(m.nrows, zip(*m.data), field=f.field) for v, m in _nonempty(f.mats)}
-    return quotient_by_subspaces(f.tgt, subspaces)
 
 
 def radical_subspaces(m):
@@ -431,9 +421,7 @@ def radical_subspaces(m):
 
 
 def radical_submodule(m):
-    spaces = radical_subspaces(m)
-    cols = {v: [list(r) for r in spaces[v].rows] for v in spaces}
-    return submodule_from_columns(m, cols)
+    return submodule_from_columns(m, {v: s.rows for v, s in radical_subspaces(m).items()})
 
 
 def socle_submodule(m):
@@ -731,18 +719,11 @@ def decompose(m):
 
 def top_lifts(m):
     """Per-vertex lift vectors of a basis of top M = M/rad M."""
-    rad = radical_subspaces(m)
-    lifts = {}
-    for v in m.alg.quiver.vertices:
-        pivot_set = set(rad[v].pivots)
-        units = []
-        for i in range(m.dims[v]):
-            if i not in pivot_set:
-                u = [m.field.zero] * m.dims[v]
-                u[i] = m.field.one
-                units.append(u)
-        lifts[v] = units
-    return lifts
+    zero, one = m.field.zero, m.field.one
+    return {
+        v: [[one if j == i else zero for j in range(rad.n)] for i in rad.complement()]
+        for v, rad in radical_subspaces(m).items()
+    }
 
 
 def _generator_maps(p, layout, y, image_sets):
@@ -1031,11 +1012,7 @@ def almost_split_sequence(m):
     ext_dim = hom_k.dim - image.dim
     if ext_dim < 1:
         raise PreconditionError("Ext^1(M, tau M) vanished; presentation not minimal?")
-    quot_coords = [i for i in range(hom_k.dim) if i not in set(image.pivots)]
-
-    def to_quot(vec):
-        red = image.reduce(vec)
-        return [red[i] for i in quot_coords]
+    quot_coords = image.complement()
 
     # rad End(tau M) kills exactly the socle; on a line it acts as zero
     action = []
@@ -1046,7 +1023,7 @@ def almost_split_sequence(m):
             raise InternalError("End(tau M) is not local although End(M) is")
         for rc in tau_rad:
             h = end_tau.from_coords(rc)
-            cols = [to_quot(hom_k.coords(h.compose(hom_k.basis[i]))) for i in quot_coords]
+            cols = [image.project(hom_k.coords(h.compose(hom_k.basis[i]))) for i in quot_coords]
             action.extend(list(row) for row in zip(*cols))
     socle = kernel_basis(Matrix(len(action), ext_dim, action, m.field))
     if len(socle) != 1:

@@ -330,22 +330,11 @@ def quotient_algebra(alg, ideal_rows):
     alg-basis indices chosen as coset representatives.
     """
     span = RowSpace(alg.dim, ideal_rows, field=alg.field)
-    pivot_set = set(span.pivots)
-    reps = [i for i in range(alg.dim) if i not in pivot_set]
-
-    def project(x):
-        red = span.reduce(x)
-        return [red[i] for i in reps]
-
-    table = []
-    for i in reps:
-        row = []
-        for j in reps:
-            row.append(project(alg.table[i][j]))
-        table.append(row)
-    q = StructureAlgebra(table, project(alg.unit), alg.field,
+    reps = span.complement()
+    table = [[span.project(alg.table[i][j]) for j in reps] for i in reps]
+    q = StructureAlgebra(table, span.project(alg.unit), alg.field,
                          labels=[alg.labels[i] for i in reps])
-    return q, project, reps
+    return q, span.project, reps
 
 
 def split_commutative_semisimple(alg):

@@ -1,7 +1,8 @@
 import pytest
 
-from arquiver.algebra import Path, build_basis, parse_presentation
+from arquiver.algebra import Arrow, Path, Quiver, _parse_relation_expr, build_basis, parse_presentation
 from arquiver.errors import InadmissibleIdeal, InputSyntaxError, NotFiniteDimensional
+from arquiver.linalg import QQ, PrimeField
 from tests.conftest import FIXTURES
 
 
@@ -105,6 +106,44 @@ relation 2*g*f - 1/3 * g*h
     assert len(rel.terms) == 2
     coeffs = sorted(str(c) for c, _ in rel.terms)
     assert coeffs == ["-1/3", "2"]
+
+
+# Each sign in front of a term flips it or leaves it, and each term starts
+# afresh at +; the expected terms and error texts were recorded with the
+# earlier index loop, which tracked whether a term was expected.
+RELATION_CASES = [
+    ("g*f - g*h", [("1", "g*f"), ("-1", "g*h")], [("1", "g*f"), ("4", "g*h")]),
+    ("- -g*f", [("1", "g*f")], [("1", "g*f")]),
+    ("+ -g*f", [("-1", "g*f")], [("4", "g*f")]),
+    ("g*f g*h", [("1", "g*f"), ("1", "g*h")], [("1", "g*f"), ("1", "g*h")]),
+    ("g*f -", [("1", "g*f")], [("1", "g*f")]),
+    ("-+-g*f + -1/2*g*h", [("1", "g*f"), ("-1/2", "g*h")], [("1", "g*f"), ("2", "g*h")]),
+    ("1/2*g*f - 3 * g*h", [("1/2", "g*f"), ("-3", "g*h")], [("3", "g*f"), ("2", "g*h")]),
+    ("0*g*f", [("0", "g*f")], [("0", "g*f")]),
+    ("2", "relation term is a bare scalar", "relation term is a bare scalar"),
+    ("g*f + 2", "relation term is a bare scalar", "relation term is a bare scalar"),
+    ("*", "empty term in relation: '*'", "empty term in relation: '*'"),
+    ("1/0*g*f", "not a rational scalar: '1/0'", "not an F_5 scalar: '1/0'"),
+    ("1/5*g*f", [("1/5", "g*f")], "not an F_5 scalar: '1/5'"),
+    ("g*x", "unknown arrow label 'x'", "unknown arrow label 'x'"),
+    ("f*g", "non-composable word: f after g (f starts at a, g ends at c)",
+     "non-composable word: f after g (f starts at a, g ends at c)"),
+    ("", "empty relation expression", "empty relation expression"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("expr,over_q,over_f5", RELATION_CASES)
+def test_relation_signs_and_refusals_are_pinned(field, expr, over_q, over_f5):
+    quiver = Quiver(["a", "b", "c"], [Arrow("f", "a", "b"), Arrow("h", "a", "b"), Arrow("g", "b", "c")])
+    expected = over_q if field == QQ else over_f5
+    if isinstance(expected, str):
+        with pytest.raises(InputSyntaxError) as info:
+            _parse_relation_expr(expr, quiver, field, 3)
+        assert str(info.value) == f"line 3: {expected}"
+    else:
+        terms = _parse_relation_expr(expr, quiver, field, 3)
+        assert [(field.format(c), repr(p)) for c, p in terms] == expected
 
 
 def test_dimensions(alg_cycle4, alg_cycle3, alg_a2):

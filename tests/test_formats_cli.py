@@ -99,12 +99,6 @@ def test_dot_a2(arq_a2):
     assert solid == 2
 
 
-def test_dot_highlight(arq_cycle4):
-    dot = export_dot(arq_cycle4, highlight={"P_b", "S_b", "P_d"})
-    assert "cluster_highlight" in dot
-    assert export_dot(arq_cycle4, highlight=set()).count("cluster") == 0
-
-
 # -- reports ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -418,7 +419,8 @@ PINNED_KNITS = {
 def _text(label):
     """The algebra of a label: a fixture file, D4 or SQUARE, ``cycle<n>``,
     or ``<Dynkin type><rank> <orientation>``, optionally followed by a field
-    such as ``F 32003`` (``D4 F 2`` is D4 over F_2)."""
+    such as ``F 32003`` (``D4 F 2`` is D4 over F_2, ``D4 000`` the D4 of
+    ``dynkin_text``)."""
     # imported here: tests.test_cut_references imports this module
     from tests.test_cut_references import dynkin_text
 
@@ -427,12 +429,22 @@ def _text(label):
     if label.startswith("cycle"):
         return cycle_text(int(label[5:]))
     head, _, rest = label.partition(" ")
-    if head in ("D4", "SQUARE"):
+    if head in ("D4", "SQUARE") and re.fullmatch(r"(Q|F \d+)?", rest):
         text, field = {"D4": D4_TEXT, "SQUARE": SQUARE_TEXT}[head], rest
     else:
         orientation, _, field = rest.partition(" ")
         text = dynkin_text(head[0], int(head[1:]), orientation)
     return text.replace("field Q", f"field {field}", 1) if field else text
+
+
+def test_text_reads_a_field_or_an_orientation():
+    from tests.test_cut_references import dynkin_text
+
+    assert _text("D4 000") == dynkin_text("D", 4, "000")
+    assert len(knit(build_basis(parse_presentation(_text("D4 000")))).vertices) == 12  # Gabriel
+    assert _text("D4 F 2") == D4_TEXT.replace("field Q", "field F 2", 1)
+    assert parse_presentation(_text("D4 F 2")).field.p == 2
+    assert _text("SQUARE Q") == _text("SQUARE") == SQUARE_TEXT
 
 
 def _knit_digests(arq):

@@ -327,6 +327,54 @@ def test_rowspace_matches_dense_reference(m, data):
     assert space.copy() == space and space.copy().pivots == space.pivots
 
 
+def dense_residue(rows, pivots, v):
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_quotient_coordinates_match_dense_reference(m, data):
+    field, n = m.field, m.ncols
+    space = RowSpace(n, m.data, field=field)
+    ref_rows, ref_pivots = dense_rowspace(n, m.data)
+    rest = space.complement()
+    assert rest == [i for i in range(n) if i not in ref_pivots]
+    assert len(rest) == n - space.dim
+
+    def scalar():
+        return field.from_int(data.draw(st.integers(-2, 2)))
+
+    def combination(coeffs, vectors):
+        out = [field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            out = [a + c * b for a, b in zip(out, v)]
+        return out
+
+    u, w = [scalar() for _ in range(n)], [scalar() for _ in range(n)]
+    inside = combination([scalar() for _ in m.data], m.data)
+    for v in (u, w, inside):
+        before = list(v)
+        coords = space.project(v)
+        assert v == before
+        assert coords == [dense_residue(ref_rows, ref_pivots, v)[i] for i in rest]
+        assert (not any(coords)) == space.contains(v)
+        # v minus the representative of its class lies in the span
+        lifted = list(v)
+        for c, i in zip(coords, rest):
+            lifted[i] = lifted[i] - c
+        assert space.contains(lifted)
+    assert not any(space.project(inside))
+    a, b = scalar(), scalar()
+    assert space.project(combination([a, b], [u, w])) == [
+        a * x + b * y for x, y in zip(space.project(u), space.project(w))
+    ]
+    assert all(not any(space.project(row)) for row in space.rows)
+
+
 def test_empty_shapes_match_dense_reference():
     for field in FIELDS:
         for m in (Matrix.zeros(0, 4, field), Matrix.zeros(4, 0, field), Matrix.zeros(0, 0, field)):

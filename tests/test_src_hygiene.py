@@ -15,6 +15,10 @@ A parameter with a default is a knob: some call in ``src``, ``tests`` or
 constant.  Calls are matched to definitions by bare or attribute name, a
 class name calls ``__init__``, and ``*args`` or ``**kwargs`` at a call
 counts as passing every parameter.
+
+A quotient by a reduced span is read one way, by ``RowSpace.complement``
+and ``RowSpace.project``, so outside ``linalg.py`` no module builds
+``set(<expr>.pivots)`` to pick the non-pivot coordinates itself.
 """
 
 import ast
@@ -154,6 +158,17 @@ def unset_knobs(tree, calls):
     ]
 
 
+def pivot_sets(tree):
+    """(line, source) of each call ``set(<expr>.pivots)``."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "set"
+        and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "pivots"
+    ]
+
+
 def _findings(check, skip_init):
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -187,6 +202,11 @@ def test_every_knob_is_set_somewhere():
         for path in sorted((ROOT / part).rglob("*.py"))
     )
     assert _findings(lambda tree: unset_knobs(tree, calls), skip_init=False) == []
+
+
+def test_quotients_read_the_rowspace_rule():
+    found = _findings(pivot_sets, skip_init=False)
+    assert [f for f in found if not f.startswith("linalg.py:")] == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -230,3 +250,11 @@ def test_the_checks_see_what_they_look_for():
     )
     calls = calls_by_name([ast.parse("f(0, c=1)\ng(*xs)\nK()\nk.m(2)\nK.s(3)\nh(**kw)\n")])
     assert unset_knobs(knobs, calls) == [(1, "f(b)"), (1, "f(d)"), (5, "K(size)")]
+    quotients = ast.parse(
+        "reps = [i for i in range(n) if i not in set(span.pivots)]\n"
+        "a = set(pivots)\n"
+        "b = frozenset(span.pivots)\n"
+        "c = set(span.rows)\n"
+        "d = set(spaces[v].pivots)\n"
+    )
+    assert sorted(pivot_sets(quotients)) == [(1, "set(span.pivots)"), (5, "set(spaces[v].pivots)")]
