@@ -21,6 +21,7 @@ from .knitting import (
     ARVertex,
     MeshRecord,
     knit,
+    nonzero_path_exists,
     vertex_namer,
 )
 from .linalg import Matrix, RowSpace, kernel_basis, rank
@@ -164,20 +165,17 @@ def _convex_in_ind(arq, cut):
 def convexity_checks(arq, cut):
     """Weak convexity, convexity in ind A, and acyclicity of a subquiver.
 
-    A nonzero composite of radical maps runs from X to Y through M iff
-    rad(M, Y).rad(X, M) != 0: chains of radical maps X -> M span rad(X, M),
-    chains M -> Y lie in rad(M, Y), and composition is bilinear.  So weak
-    convexity is read from products of rad^1 rows.
+    Weakly convex: no nonzero composite of radical maps runs between two
+    vertices of the cut through one outside it (``nonzero_path_exists``).
     """
     arq.require_modules("convexity checks")
     cut = set(cut)
     weakly = not any(
-        any(c)
+        nonzero_path_exists(arq, x, y, via=m)
         for m in arq.names()
         if m not in cut
         for x in sorted(cut)
         for y in sorted(cut)
-        for c in arq.products(x, m, y, arq.rad(m, y).rows, arq.rad(x, m).rows)
     )
     return ConvexityResult(weakly, _convex_in_ind(arq, cut), not _cycle_inside(arq, cut))
 
@@ -423,7 +421,7 @@ def tilting_crosscheck(arq, cut):
     arq.require_complete("the tilting cross-check")
     cut = sorted(set(cut))
     mods = [arq.module_of(n) for n in cut]
-    t, _inc, _prj = direct_sum(mods) if len(mods) > 1 else (mods[0], None, None)
+    t = direct_sum(mods) if len(mods) > 1 else mods[0]
     return CrosscheckRecord(
         pdim_le_1=pdim_le_1(t),
         ext1_dim=ext1_dim(t, t),

@@ -421,17 +421,24 @@ def kernel_basis(m):
     in increasing free-column order.  Deterministic for identical input.
     """
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     zero, one = m.field.zero, m.field.one
     basis = []
-    for fc in free:
+    for fc in _non_pivots(m.ncols, pivots):
         v = [zero] * m.ncols
         v[fc] = one
         for i, pc in enumerate(pivots):
             v[pc] = -red.data[i][fc]
         basis.append(v)
     return basis
+
+
+def _non_pivots(n, pivots):
+    """The columns 0..n-1 outside ``pivots``, an ascending list, in
+    ascending order."""
+    rest = list(range(n))
+    for p in reversed(pivots):
+        del rest[p]
+    return rest
 
 
 def _free_columns(basis):
@@ -516,10 +523,7 @@ class RowSpace:
     def complement(self):
         """The non-pivot coordinates, ascending: the unit vectors there are
         coset representatives of a basis of F^n / span."""
-        rest = list(range(self.n))
-        for p in reversed(self.pivots):
-            del rest[p]
-        return rest
+        return _non_pivots(self.n, self.pivots)
 
     def project(self, v):
         """Coordinates of v + span in the basis of ``complement``: the

@@ -280,11 +280,10 @@ def regular_module(alg):
 
 
 def direct_sum(mods):
-    """Returns (sum, inclusions, projections)."""
+    """The direct sum of ``mods``, their blocks in list order."""
     if not mods:
         raise PreconditionError("direct sum of an empty list")
     alg = mods[0].alg
-    field = alg.field
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
     offsets = []
     running = {v: 0 for v in alg.quiver.vertices}
@@ -296,7 +295,7 @@ def direct_sum(mods):
     for a in alg.quiver.arrows.values():
         if not dims[a.target] or not dims[a.source]:
             continue
-        big = Matrix.zeros(dims[a.target], dims[a.source], field)
+        big = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
         for m, off in zip(mods, offsets):
             block = m.mats[a.label]
             for i in range(block.nrows):
@@ -304,25 +303,7 @@ def direct_sum(mods):
                     if block.data[i][j]:
                         big.data[off[a.target] + i][off[a.source] + j] = block.data[i][j]
         mats[a.label] = big
-    total = Module(alg, dims, mats, check=False)
-    inclusions = []
-    projections = []
-    for m, off in zip(mods, offsets):
-        inc = {}
-        prj = {}
-        for v in alg.quiver.vertices:
-            if not m.dims[v]:
-                continue
-            mi = Matrix.zeros(dims[v], m.dims[v], field)
-            mp = Matrix.zeros(m.dims[v], dims[v], field)
-            for i in range(m.dims[v]):
-                mi.data[off[v] + i][i] = field.one
-                mp.data[i][off[v] + i] = field.one
-            inc[v] = mi
-            prj[v] = mp
-        inclusions.append(ModuleMap(m, total, inc, check=False))
-        projections.append(ModuleMap(total, m, prj, check=False))
-    return total, inclusions, projections
+    return Module(alg, dims, mats, check=False)
 
 
 # -- sub and quotient structure -------------------------------------------
@@ -1037,7 +1018,7 @@ def almost_split_sequence(m):
     g = hom_k.from_coords(full)
 
     # pushout of 0 -> K -> P0 -> M -> 0 along g: K -> tau
-    total, (i1, _i2), _projs = direct_sum([tau, pres.p0])
+    total = direct_sum([tau, pres.p0])
     h_mats = {}
     for v in m.alg.quiver.vertices:
         if not ker.dims[v]:
@@ -1049,17 +1030,20 @@ def almost_split_sequence(m):
         h_mats[v] = Matrix(tau.dims[v] + pres.p0.dims[v], ker.dims[v], rows, m.field)
     h = ModuleMap(ker, total, h_mats, check=False)
     middle, proj, sect = cokernel_module(h)
-    left = proj.compose(i1)
-    # right map: induced by epi on the P0 block
+    # left map: the tau columns of the projection; right map: induced by
+    # epi on the P0 rows of the section
+    left_mats = {}
     right_mats = {}
     for v in m.alg.quiver.vertices:
-        if not m.dims[v] or not middle.dims[v]:
+        if not middle.dims[v]:
             continue
-        p0_block = Matrix.zeros(m.dims[v], total.dims[v], m.field)
-        for i in range(m.dims[v]):
-            for j in range(pres.p0.dims[v]):
-                p0_block.data[i][tau.dims[v] + j] = pres.epi.mats[v].data[i][j]
-        right_mats[v] = p0_block * sect[v]
+        t = tau.dims[v]
+        if t:
+            left_mats[v] = Matrix.adopt(middle.dims[v], t, [row[:t] for row in proj.mats[v].data], m.field)
+        if m.dims[v]:
+            p0_rows = Matrix.adopt(pres.p0.dims[v], middle.dims[v], sect[v].data[t:], m.field)
+            right_mats[v] = pres.epi.mats[v] * p0_rows
+    left = ModuleMap(tau, middle, left_mats, check=False)
     right = ModuleMap(middle, m, right_mats, check=False)
     if middle.total_dim != tau.total_dim + m.total_dim:
         raise PreconditionError("middle term has a wrong dimension")

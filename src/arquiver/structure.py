@@ -325,8 +325,7 @@ class StructureAlgebra:
 def quotient_algebra(alg, ideal_rows):
     """Quotient StructureAlgebra modulo the span of ideal_rows.
 
-    Returns (quotient, project, section_indices): ``project`` maps an
-    element of alg to quotient coordinates, ``section_indices`` are the
+    Returns (quotient, section_indices): ``section_indices`` are the
     alg-basis indices chosen as coset representatives.
     """
     span = RowSpace(alg.dim, ideal_rows, field=alg.field)
@@ -334,7 +333,7 @@ def quotient_algebra(alg, ideal_rows):
     table = [[span.project(alg.table[i][j]) for j in reps] for i in reps]
     q = StructureAlgebra(table, span.project(alg.unit), alg.field,
                          labels=[alg.labels[i] for i in reps])
-    return q, span.project, reps
+    return q, reps
 
 
 def split_commutative_semisimple(alg):
@@ -437,7 +436,7 @@ def primitive_orthogonal_idempotents(alg):
     if not rad_rows:
         # semisimple: must itself be commutative split to be basic
         return split_commutative_semisimple(alg)
-    quot, _project, reps = quotient_algebra(alg, rad_rows)
+    quot, reps = quotient_algebra(alg, rad_rows)
     bars = split_commutative_semisimple(quot)
 
     def lift_coords(xbar):
@@ -522,7 +521,7 @@ def block_count(alg):
     z = StructureAlgebra(table, coords(alg.unit), alg.field)
     rad_rows = z.radical()
     if rad_rows:
-        zq, _project, _ = quotient_algebra(z, rad_rows)
+        zq, _reps = quotient_algebra(z, rad_rows)
     else:
         zq = z
     return len(split_commutative_semisimple(zq))

@@ -123,7 +123,7 @@ def test_decomposable_module_is_refused_by_its_own_end_ring(alg_cycle4):
     # tau(S_a + P_b) = S_c is indecomposable and Ext^1 is a line, so only
     # the check on End(M) stands between this sum and a bogus sequence
     s_a, p_b = simple_module(alg_cycle4, "a"), projective_module(alg_cycle4, "b")
-    total, _inc, _prj = direct_sum([s_a, p_b])
+    total = direct_sum([s_a, p_b])
     assert ext1_dim(total, almost_split_sequence(s_a).tau) == 1
     with pytest.raises(NonLocalEndRing):
         almost_split_sequence(total)

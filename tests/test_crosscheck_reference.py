@@ -23,7 +23,7 @@ from tests.test_knitting import LOOP_TEXT
 
 def reference_end_hereditary(arq, names):
     mods = [arq.module_of(n) for n in sorted(names)]
-    t = direct_sum(mods)[0] if len(mods) > 1 else mods[0]
+    t = direct_sum(mods) if len(mods) > 1 else mods[0]
     return end_algebra_analysis(t).is_hereditary
 
 
@@ -84,7 +84,7 @@ def test_primitive_idempotents_of_end_algebras(knitted):
     rng = random.Random(3)
     for size in (2, 4, 6):
         names = rng.sample(arq.names(), size)
-        t = direct_sum([arq.module_of(n) for n in names])[0]
+        t = direct_sum([arq.module_of(n) for n in names])
         alg = end_algebra_analysis(t).algebra
         idems = primitive_orthogonal_idempotents(alg)
         assert len(idems) == size

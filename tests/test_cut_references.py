@@ -9,7 +9,8 @@ Hom(X, tau Y) conflicts is judged by ``reference_hom_vanishing``, which
 solves Hom spaces; the rank test of faithfulness by ``annihilator``; the
 Hom dimensions read off the meshes by ``hom_space``; and the dimension count
 of ``pdim_le_1`` by ``reference_pdim_le_1``, which matches the syzygy's
-summands against the indecomposable projectives.
+summands against the indecomposable projectives; and weak convexity by the
+subspace propagation ``reference_nonzero_path_exists``.
 """
 
 import random
@@ -34,7 +35,7 @@ from arquiver.cuts import (
 )
 from arquiver.errors import CapExceeded, InternalError
 from arquiver.formats import parse_translation_quiver
-from arquiver.knitting import knit, nonzero_path_exists
+from arquiver.knitting import knit
 from arquiver.modules import (
     annihilator,
     decompose,
@@ -47,6 +48,7 @@ from arquiver.modules import (
     sincere_faithful,
 )
 from tests.conftest import FIXTURES
+from tests.radical_reference import reference_nonzero_path_exists
 from tests.test_knitting import CYCLE6_TEXT, D4_TEXT, SQUARE_TEXT
 
 A5_TEXT = """
@@ -320,14 +322,14 @@ def test_slice_check_leaves_the_filtration_unbuilt():
 
 @pytest.mark.parametrize("label", TRIPLE_LABELS)
 def test_convexity_checks_matches_reference(quivers, label):
-    # the reference reads weak convexity from memoized path searches, the
-    # code under test from rad^1 products
+    # the reference reads weak convexity from memoized subspace
+    # propagations, the code under test from rad^1 products
     memo = {}
 
     def search(arq, x, y, via=None):
         key = (x, y, via)
         if key not in memo:
-            memo[key] = nonzero_path_exists(arq, x, y, via=via)
+            memo[key] = reference_nonzero_path_exists(arq, x, y, via=via)
         return memo[key]
 
     arq = quivers[label]
@@ -393,7 +395,7 @@ def test_pdim_count_agrees_with_matching_summands(quivers):
         arq = quivers[label]
         cuts = [[n] for n in arq.names()] + [sorted(c) for c in iter_cuts(arq, conflict=hom_tau_conflict(arq))]
         for cut in cuts:
-            m = direct_sum([arq.module_of(n) for n in cut])[0]
+            m = direct_sum([arq.module_of(n) for n in cut])
             verdict = pdim_le_1(m)
             assert verdict == reference_pdim_le_1(m), (label, cut)
             verdicts.add(verdict)

@@ -115,7 +115,7 @@ def test_pencil_with_a_finite_field_end_ring_is_refused(p, c1, c0):
 
 @pytest.fixture(scope="module")
 def s_plus_s(alg_a2):
-    total, _inc, _prj = direct_sum([simple_module(alg_a2, "a")] * 2)
+    total = direct_sum([simple_module(alg_a2, "a")] * 2)
     return total
 
 
@@ -153,7 +153,7 @@ def test_fitting_split_puts_the_first_eigenvalue_first(alg_a2):
     # eigenvalues 0 then 1; the kernel of its power, S_b, comes first.  The
     # order of the pieces decides the names of new vertices in a knit.
     s_a, s_b = simple_module(alg_a2, "a"), simple_module(alg_a2, "b")
-    total, _inc, _prj = direct_sum([s_a, s_b])
+    total = direct_sum([s_a, s_b])
     first = hom_basis(total, total)[0]
     assert first.mats["a"] == Matrix.identity(1) and first.mats["b"].is_zero()
     pieces = decompose_with_inclusions(total)

@@ -161,11 +161,42 @@ def test_nonzero_path_via(arq_cycle4):
     assert not nonzero_path_exists(arq_cycle4, "P_b", "P_d", via="S_c")
 
 
-def test_nonzero_path_respects_allowed(arq_cycle4):
-    # without S_b as an intermediate the composite P_b ~> P_d survives only
-    # through the direct radical map, which still exists
-    assert nonzero_path_exists(arq_cycle4, "P_b", "P_d", allowed=[])
-    assert not nonzero_path_exists(arq_cycle4, "P_b", "P_c", allowed=[])
+def test_nonzero_path_without_via_is_a_radical_map(arq_cycle4):
+    # a one-map chain has no interior vertex: there is a nonzero radical
+    # map P_b -> P_d, and Hom(P_b, P_c) = 0
+    assert nonzero_path_exists(arq_cycle4, "P_b", "P_d")
+    assert not nonzero_path_exists(arq_cycle4, "P_b", "P_c")
+
+
+def test_nonzero_path_refuses_unknown_vertices(arq_cycle4):
+    with pytest.raises(PreconditionError, match="unknown vertex 'P_z'"):
+        nonzero_path_exists(arq_cycle4, "P_b", "P_d", via="P_z")
+    with pytest.raises(PreconditionError, match="unknown vertex 'S_z'"):
+        nonzero_path_exists(arq_cycle4, "S_z", "P_d")
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg", "D4 000", "cycle6"],
+)
+def test_nonzero_path_matches_the_propagation_reference(label):
+    # every (x, y, via) triple, via a vertex or None: the product of two
+    # rad^1 spaces against the chain-by-chain subspace propagation
+    from tests.radical_reference import reference_nonzero_path_exists
+    from tests.test_cut_references import dynkin_text
+
+    if label == "D4 000":
+        text = dynkin_text("D", 4, "000")
+    elif label == "cycle6":
+        text = CYCLE6_TEXT
+    else:
+        text = (FIXTURES / label).read_text()
+    arq = knit(build_basis(parse_presentation(text)))
+    names = arq.names()
+    for x, y, via in itertools.product(names, names, names + [None]):
+        assert nonzero_path_exists(arq, x, y, via=via) == reference_nonzero_path_exists(
+            arq, x, y, via=via
+        ), (x, y, via)
 
 
 def test_path_classify(arq_cycle4):
@@ -242,10 +273,10 @@ def test_connectedness_of_end_matches_subquiver(arq_cycle4):
     # weakly convex subquivers: End of the sum is connected iff the
     # subquiver is connected
     delta = ["P_b", "S_b", "P_d"]
-    total, _, _ = direct_sum([arq_cycle4.module_of(n) for n in delta])
+    total = direct_sum([arq_cycle4.module_of(n) for n in delta])
     assert block_count(end_algebra_analysis(total).algebra) == 1
     scattered = ["S_a", "S_c"]
-    total2, _, _ = direct_sum([arq_cycle4.module_of(n) for n in scattered])
+    total2 = direct_sum([arq_cycle4.module_of(n) for n in scattered])
     assert block_count(end_algebra_analysis(total2).algebra) == 2
 
 

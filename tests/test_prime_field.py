@@ -70,7 +70,7 @@ def test_end_analysis_refuses_small_prime():
     alg = build_basis(parse_presentation(B_F2))
     from arquiver.modules import direct_sum
 
-    total, _, _ = direct_sum(
+    total = direct_sum(
         [projective_module(alg, "b"), simple_module(alg, "b")]
     )
     with pytest.raises(UnsupportedRadicalComputation):

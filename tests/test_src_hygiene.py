@@ -17,8 +17,9 @@ class name calls ``__init__``, and ``*args`` or ``**kwargs`` at a call
 counts as passing every parameter.
 
 A quotient by a reduced span is read one way, by ``RowSpace.complement``
-and ``RowSpace.project``, so outside ``linalg.py`` no module builds
-``set(<expr>.pivots)`` to pick the non-pivot coordinates itself.
+and ``RowSpace.project``, whose non-pivot rule ``kernel_basis`` shares, so
+no module builds ``set(pivots)`` or ``set(<expr>.pivots)`` to pick the
+non-pivot coordinates itself.
 """
 
 import ast
@@ -158,14 +159,19 @@ def unset_knobs(tree, calls):
     ]
 
 
+def _names_pivots(node):
+    return (isinstance(node, ast.Name) and node.id == "pivots") or (
+        isinstance(node, ast.Attribute) and node.attr == "pivots"
+    )
+
+
 def pivot_sets(tree):
-    """(line, source) of each call ``set(<expr>.pivots)``."""
+    """(line, source) of each call ``set(pivots)`` or ``set(<expr>.pivots)``."""
     return [
         (node.lineno, ast.unparse(node))
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "set"
-        and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
-        and node.args[0].attr == "pivots"
+        and len(node.args) == 1 and _names_pivots(node.args[0])
     ]
 
 
@@ -205,8 +211,7 @@ def test_every_knob_is_set_somewhere():
 
 
 def test_quotients_read_the_rowspace_rule():
-    found = _findings(pivot_sets, skip_init=False)
-    assert [f for f in found if not f.startswith("linalg.py:")] == []
+    assert _findings(pivot_sets, skip_init=False) == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -256,5 +261,11 @@ def test_the_checks_see_what_they_look_for():
         "b = frozenset(span.pivots)\n"
         "c = set(span.rows)\n"
         "d = set(spaces[v].pivots)\n"
+        "e = set(pivot)\n"
+        "f = set(pivots, extra)\n"
     )
-    assert sorted(pivot_sets(quotients)) == [(1, "set(span.pivots)"), (5, "set(spaces[v].pivots)")]
+    assert sorted(pivot_sets(quotients)) == [
+        (1, "set(span.pivots)"),
+        (2, "set(pivots)"),
+        (5, "set(spaces[v].pivots)"),
+    ]
