@@ -281,7 +281,7 @@ class AlgebraBasis:
         }
         # every arrow is a basis path: the ideal lies in the paths of length >= 2
         self._arrow_index = {p.arrows[0]: i for i, p in enumerate(basis) if p.length == 1}
-        # vertex -> Ae_v as (paths, arrow entries), filled by modules.projective_sum
+        # vertex -> (paths, Ae_v), filled by modules.projective_sum
         self.projectives = {}
         self._opposite = None
 

@@ -10,7 +10,7 @@ import re
 import sys
 
 from .algebra import build_basis, parse_presentation
-from .cuts import certify_tilted, cut_analysis, enumerate_cuts, quotient_by_cut
+from .cuts import DEFAULT_CAP, certify_tilted, cut_analysis, enumerate_cuts, quotient_by_cut
 from .errors import (
     ArquiverError,
     CapExceeded,
@@ -132,7 +132,7 @@ def _build_parser():
     _limits(p_ccheck)
     p_cenum = cut_sub.add_parser("enumerate", help="enumerate all cuts")
     p_cenum.add_argument("file")
-    p_cenum.add_argument("--cap", type=_positive_int, default=10**6)
+    p_cenum.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     _limits(p_cenum)
 
     p_tilted = sub.add_parser("tilted", help="tiltedness certification")
@@ -140,7 +140,7 @@ def _build_parser():
     p_cert = tilted_sub.add_parser("certify", help="decide tiltedness")
     p_cert.add_argument("file")
     p_cert.add_argument(
-        "--cap", type=_positive_int, default=10**6, help="node cap of the walk over hom-vanishing cuts"
+        "--cap", type=_positive_int, default=DEFAULT_CAP, help="node cap of the walk over hom-vanishing cuts"
     )
     _limits(p_cert)
 

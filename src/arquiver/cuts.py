@@ -35,6 +35,8 @@ from .modules import (
     pdim_le_1,
 )
 
+DEFAULT_CAP = 10**6
+
 
 @dataclass
 class CutViolation:
@@ -241,7 +243,7 @@ def slice_by_definition(arq, cut):
     return True
 
 
-def iter_cuts(arq, cap=10**6, conflict=None):
+def iter_cuts(arq, cap=DEFAULT_CAP, conflict=None):
     """Nonempty cuts, one at a time, by backtracking with constraint
     propagation; the vertices are decided in ``arq.names()`` order, chosen
     before left out.
@@ -361,7 +363,7 @@ def iter_cuts(arq, cap=10**6, conflict=None):
     yield from walk(0)
 
 
-def enumerate_cuts(arq, cap=10**6):
+def enumerate_cuts(arq, cap=DEFAULT_CAP):
     """All nonempty cuts, as a list, in the order of ``iter_cuts``."""
     return list(iter_cuts(arq, cap))
 
@@ -499,7 +501,7 @@ def _block_quiver(arq, block):
 
 
 def certify_tilted(
-    alg, arq=None, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM, cap=10**6
+    alg, arq=None, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM, cap=DEFAULT_CAP
 ):
     """Decide tiltedness by the iff criterion: A is tilted iff its AR quiver
     has a faithful cut on which Hom(X, tau Y) vanishes.

@@ -183,11 +183,11 @@ def simple_module(alg, v):
 
 
 def _projective_piece(alg, v):
-    """(paths, entries) of Ae_v, built and relation-checked once per algebra.
+    """(paths, Ae_v), built and relation-checked once per algebra.
 
     paths[w] lists the algebra basis indices of the paths v -> w, which
-    index the basis of (Ae_v)_w, for each w with such a path; entries lists
-    the nonzero arrow matrix entries as (arrow label, row, column, value).
+    index the basis of (Ae_v)_w, for each w with such a path.  Ae_v is only
+    read: ``projective_sum`` copies its blocks.
     """
     piece = alg.projectives.get(v)
     if piece is None:
@@ -196,7 +196,6 @@ def _projective_piece(alg, v):
             if p.source == v:
                 paths.setdefault(p.target, []).append(k)
         mats = {}
-        entries = []
         for a in alg.quiver.arrows.values():
             src_ks, tgt_ks = paths.get(a.source), paths.get(a.target)
             if not src_ks or not tgt_ks:
@@ -207,11 +206,10 @@ def _projective_piece(alg, v):
             for col, k in enumerate(src_ks):
                 for kk, c in products[k]:
                     m.data[tgt_pos[kk]][col] = c
-                    entries.append((a.label, tgt_pos[kk], col, c))
             mats[a.label] = m
         # raises unless the relations vanish on Ae_v
-        Module(alg, {w: len(ks) for w, ks in paths.items()}, mats, check=True)
-        piece = alg.projectives[v] = (paths, entries)
+        module = Module(alg, {w: len(ks) for w, ks in paths.items()}, mats, check=True)
+        piece = alg.projectives[v] = (paths, module)
     return piece
 
 
@@ -221,29 +219,19 @@ def projective_sum(alg, verts):
     layout[s][w] = (offset, [algebra basis indices of paths verts[s] -> w])
     giving the coordinate block of summand s inside M_w, for each w where
     the summand is nonzero; the path list is the algebra's own, shared by
-    every call, and only read.  Each summand is the checked Ae_v of
-    ``_projective_piece``, placed at its offsets.
+    every call, and only read.  The module is the ``direct_sum`` of the
+    checked Ae_v of ``_projective_piece``.
     """
     pieces = [_projective_piece(alg, v) for v in verts]
-    dims = dict.fromkeys(alg.quiver.vertices, 0)
+    offsets = dict.fromkeys(alg.quiver.vertices, 0)
     layout = []
-    for paths, _entries in pieces:
+    for paths, _mod in pieces:
         entry = {}
         for w, ks in paths.items():
-            entry[w] = (dims[w], ks)
-            dims[w] += len(ks)
+            entry[w] = (offsets[w], ks)
+            offsets[w] += len(ks)
         layout.append(entry)
-    arrows = alg.quiver.arrows
-    mats = {
-        a.label: Matrix.zeros(dims[a.target], dims[a.source], alg.field)
-        for a in arrows.values()
-        if dims[a.target] and dims[a.source]
-    }
-    for (_paths, entries), entry in zip(pieces, layout):
-        for label, i, j, c in entries:
-            a = arrows[label]
-            mats[label].data[entry[a.target][0] + i][entry[a.source][0] + j] = c
-    return Module(alg, dims, mats, check=False), layout
+    return (direct_sum([mod for _paths, mod in pieces]) if pieces else zero_module(alg)), layout
 
 
 def projective_module(alg, v):
@@ -284,13 +272,12 @@ def direct_sum(mods):
     if not mods:
         raise PreconditionError("direct sum of an empty list")
     alg = mods[0].alg
-    dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
+    dims = dict.fromkeys(alg.quiver.vertices, 0)
     offsets = []
-    running = {v: 0 for v in alg.quiver.vertices}
     for m in mods:
-        offsets.append(dict(running))
-        for v in alg.quiver.vertices:
-            running[v] += m.dims[v]
+        offsets.append(dict(dims))
+        for v, d in m.dims.items():
+            dims[v] += d
     mats = {}
     for a in alg.quiver.arrows.values():
         if not dims[a.target] or not dims[a.source]:
@@ -298,10 +285,9 @@ def direct_sum(mods):
         big = Matrix.zeros(dims[a.target], dims[a.source], alg.field)
         for m, off in zip(mods, offsets):
             block = m.mats[a.label]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    if block.data[i][j]:
-                        big.data[off[a.target] + i][off[a.source] + j] = block.data[i][j]
+            j = off[a.source]
+            for i, row in enumerate(block.data, off[a.target]):
+                big.data[i][j : j + block.ncols] = row
         mats[a.label] = big
     return Module(alg, dims, mats, check=False)
 
@@ -737,9 +723,8 @@ def _generator_maps(p, layout, y, image_sets):
 
 
 def projective_cover(m):
-    """(P, epi, summand vertex list, layout) with kernel inside rad P."""
-    if m.total_dim == 0:
-        raise PreconditionError("projective cover of the zero module")
+    """(P, epi, summand vertex list, layout) with kernel inside rad P; the
+    cover of the zero module is 0."""
     lifts = top_lifts(m)
     vertices = m.alg.quiver.vertices
     verts = [v for v in vertices for _u in lifts[v]]
@@ -768,10 +753,6 @@ def min_presentation(m):
     """Minimal projective presentation P1 -> P0 -> M -> 0."""
     p0, epi, verts0, layout0 = projective_cover(m)
     ker, kappa = kernel_submodule(epi)
-    if ker.total_dim == 0:
-        p1, layout1 = projective_sum(m.alg, [])
-        f = ModuleMap.zero(p1, p0)
-        return MinPresentation(p1, p0, f, epi, [], verts0, layout1, layout0, ker, kappa)
     p1, epi_k, verts1, layout1 = projective_cover(ker)
     f = kappa.compose(epi_k)
     return MinPresentation(p1, p0, f, epi, verts1, verts0, layout1, layout0, ker, kappa)
@@ -784,19 +765,15 @@ def transpose_module(m, pres=None):
     the generator of the i-th summand of P0 to the entries, at the paths
     v0_i -> v1_j of A, of f's column at the generator of each summand j of
     P1.  Those are the op paths v1_j -> v0_i, with the same basis indices in
-    the same order.
+    the same order.  The generator e_v of Ae_v is the first coordinate at v,
+    as the shortest path v -> v, since basis indices ascend by length.
     """
     if pres is None:
         pres = min_presentation(m)
-    alg = m.alg
-    op = alg.opposite()
-    if not pres.verts1:
-        return zero_module(op)
-    columns = []
-    for v, entry in zip(pres.verts1, pres.layout1):
-        off, ks = entry[v]
-        gen = off + ks.index(alg.idempotent_index[v])
-        columns.append((v, [row[gen] for row in pres.f.mats[v].data]))
+    columns = [
+        (v, [row[entry[v][0]] for row in pres.f.mats[v].data])
+        for v, entry in zip(pres.verts1, pres.layout1)
+    ]
     images = []
     for entry in pres.layout0:
         image = []
@@ -804,6 +781,7 @@ def transpose_module(m, pres=None):
             off, ks = entry.get(v, (0, ()))
             image.extend(column[off : off + len(ks)])
         images.append(image)
+    op = m.alg.opposite()
     p0_op, layout0_op = projective_sum(op, pres.verts0)
     p1_op, _layout1_op = projective_sum(op, pres.verts1)
     [fstar] = _generator_maps(p0_op, layout0_op, p1_op, [images])
@@ -813,17 +791,10 @@ def transpose_module(m, pres=None):
 
 def translate(m, direction="forward", pres=None):
     """AR translate: DTr (forward) or TrD (backward); zero on (in)jectives."""
-    if m.total_dim == 0:
-        return zero_module(m.alg)
     if direction == "forward":
-        tr = transpose_module(m, pres)
-        if tr.total_dim == 0:
-            return zero_module(m.alg)
-        return dual_module(tr)
+        return dual_module(transpose_module(m, pres))
     if direction == "backward":
-        dm = dual_module(m)
-        tr = transpose_module(dm)
-        return tr if tr.total_dim else zero_module(m.alg)
+        return transpose_module(dual_module(m))
     raise PreconditionError(f"unknown direction {direction!r}")
 
 
@@ -853,8 +824,6 @@ def ext1_dim(x, y):
     """dim Ext^1(X, Y) = dim Hom(Omega X, Y) - dim of the restrictions of
     the maps P0 -> Y, read off 0 -> Omega X -> P0 -> X -> 0 with P0 the
     projective cover of X; right for every projective dimension of X."""
-    if x.total_dim == 0 or y.total_dim == 0:
-        return 0
     hom_k, image = _ext1(min_presentation(x), y)
     return hom_k.dim - image.dim
 
@@ -926,8 +895,6 @@ def sincere_faithful(mods):
 def pdim_le_1(m):
     """True iff the syzygy Omega of M is projective, that is, iff its
     projective cover P1 in the minimal presentation has dim Omega."""
-    if m.total_dim == 0:
-        return True
     pres = min_presentation(m)
     return pres.p1.total_dim == pres.kernel.total_dim
 

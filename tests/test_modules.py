@@ -37,9 +37,11 @@ from arquiver.modules import (
     socle_submodule,
     submodule_from_columns,
     translate,
+    zero_module,
 )
 from tests.conftest import load_algebra
 from tests.test_knitting import cycle_text
+from tests.test_prime_field import CYCLE4_F5
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,19 @@ def test_projective_sum_matches_the_reference_construction(name):
             for m in mod.mats.values():
                 for row in m.data:
                     row[:] = [a.field.one] * len(row)
+
+
+@pytest.mark.parametrize("name", ["a2.alg", "b_a3.alg", "cycle4_rad2.alg", "kronecker.alg"])
+def test_a_single_projective_shares_no_matrix_with_the_kept_ae_v(name):
+    # a sum of one summand is still a copy: writing into P_v must not reach
+    # the Ae_v that ``_projective_piece`` keeps for the next caller
+    alg = load_algebra(name)
+    for a in (alg, alg.opposite()):
+        for v in a.quiver.vertices:
+            for m in projective_module(a, v).mats.values():
+                for row in m.data:
+                    row[:] = [a.field.from_int(7)] * len(row)
+            assert projective_module(a, v).mats == reference_projective_sum(a, [v])[0].mats
 
 
 def test_injectives_sum_to_dim(alg_cycle4, c4):
@@ -255,6 +270,42 @@ def test_min_presentation_examples(alg_cycle4, alg_cycle3, c4):
     assert pres3.verts0 == ["b"] and pres3.verts1 == ["c"]
     pres_p = min_presentation(c4["P"]["a"])
     assert pres_p.verts1 == [] and pres_p.p1.total_dim == 0
+    for v in "abcd":
+        pres_v = min_presentation(c4["P"][v])
+        assert pres_v.f.is_zero() and pres_v.kernel.is_zero()
+
+
+@pytest.mark.parametrize("name", ["a2.alg", "cycle4_rad2.alg", "cycle4 over F_5"])
+def test_the_zero_module_takes_the_general_path(name):
+    alg = build_basis(parse_presentation(CYCLE4_F5)) if name == "cycle4 over F_5" else load_algebra(name)
+    zero = zero_module(alg)
+    cover, epi, verts, layout = projective_cover(zero)
+    assert cover.is_zero() and epi.is_zero() and epi.tgt is zero
+    assert verts == [] and layout == []
+    pres = min_presentation(zero)
+    assert all(part.is_zero() for part in (pres.p1, pres.p0, pres.kernel))
+    assert all(part.is_zero() for part in (pres.f, pres.epi, pres.kernel_incl))
+    assert pres.verts1 == pres.verts0 == pres.layout1 == pres.layout0 == []
+    for direction in ("forward", "backward"):
+        tau = translate(zero, direction)
+        assert tau.is_zero() and tau.alg is alg
+    assert pdim_le_1(zero)
+    for triple in canonical_modules(alg).values():
+        for m in triple:
+            assert ext1_dim(zero, m) == 0 and ext1_dim(m, zero) == 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg", "kronecker.alg"],
+)
+def test_each_generator_is_the_first_path_at_its_vertex(name):
+    # ``transpose_module`` reads the generator e_v of Ae_v as the first
+    # coordinate of its block at v
+    alg = load_algebra(name)
+    for a in (alg, alg.opposite()):
+        for v in a.quiver.vertices:
+            assert modules._projective_piece(a, v)[0][v][0] == a.idempotent_index[v]
 
 
 def test_translate_kills_projectives(c4):
