@@ -33,6 +33,7 @@ from .modules import (
     find_isomorphism,
     is_sincere,
     pdim_le_1,
+    sincere_faithful,
 )
 
 DEFAULT_CAP = 10**6
@@ -558,11 +559,7 @@ def _first_witness(arq, cap):
             raise InternalError(
                 "internal inconsistency: a cut of the hom-vanishing walk fails the Hom(X, tau Y) test"
             )
-        # faithful: the stacked action rows have full column rank (rank
-        # copies the rows it reduces, so the cached rows stay as they are)
-        sincere = is_sincere([arq.module_of(n) for n in cut])
-        rows = [row for n in cut for row in arq.action_rows(n)]
-        faithful = rank(Matrix.adopt(len(rows), arq.alg.dim, rows, arq.alg.field)) == arq.alg.dim
+        sincere, faithful = sincere_faithful([arq.module_of(n) for n in cut])
         if not faithful:
             if sincere:
                 sincere_only += 1
@@ -771,8 +768,7 @@ def cut_analysis(arq, cut):
         out["hom_tau"] = asdict(hom_tau_test(arq, cut))
         mods = [arq.module_of(n) for n in sorted(set(cut))]
         ann = annihilator(mods)
-        out["sincere"] = is_sincere(mods)
-        out["faithful"] = not ann
+        out["sincere"], out["faithful"] = sincere_faithful(mods)
         out["annihilator"] = {
             "dimension": len(ann),
             "generators": [arq.alg.element_label(g) for g in ann],

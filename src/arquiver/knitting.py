@@ -18,7 +18,6 @@ from .linalg import Matrix, RowSpace
 from .modules import (
     HomSpace,
     ModuleMap,
-    _action_rows,
     almost_split_sequence,
     canonical_modules,
     decompose_with_inclusions,
@@ -64,7 +63,6 @@ class ARQuiver:
         self._hom_dims = {}
         self._rad1 = {}
         self._rad_powers = None
-        self._action_rows = {}
 
     # -- structure access --------------------------------------------------
 
@@ -203,13 +201,6 @@ class ARQuiver:
         from ``hom_space``."""
         dims = self.hom_dims(x)
         return dims[y] if dims is not None else self.hom_space(x, y).dim
-
-    def action_rows(self, name):
-        """The rows of ``modules._action_rows`` for one vertex module, built
-        once: the rows of a family of vertex modules are theirs stacked."""
-        if name not in self._action_rows:
-            self._action_rows[name] = _action_rows([self.module_of(name)]).data
-        return self._action_rows[name]
 
     def harada_sai_bound(self):
         b = max((v.module.total_dim for v in self.vertices.values() if v.module), default=1)

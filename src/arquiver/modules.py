@@ -15,6 +15,7 @@ check with content still runs.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import (
     DimensionError,
@@ -33,7 +34,8 @@ from .structure import (
 
 
 class Module:
-    """A representation: per-vertex dimensions plus per-arrow matrices."""
+    """A representation: per-vertex dimensions plus per-arrow matrices.  A
+    module is not changed after it is built, so its ``action_rows`` are kept."""
 
     def __init__(self, alg, dims, mats, check=True):
         self.alg = alg
@@ -78,6 +80,28 @@ class Module:
         for lab in path.arrows[1:]:
             m = m * self.mats[lab]
         return m
+
+    @cached_property
+    def action_rows(self):
+        """The rows whose common kernel is {a : a.M = 0}: one per vertex pair
+        (w, u) and matrix entry, over the paths w -> u of the algebra's basis."""
+        alg, zero = self.alg, self.field.zero
+        rows = []
+        for w in alg.quiver.vertices:
+            if self.dims[w] == 0:
+                continue
+            for u, ks in _projective_piece(alg, w)[0].items():
+                if self.dims[u] == 0:
+                    continue
+                acts = {k: self.path_action(alg.basis[k]) for k in ks}
+                for i in range(self.dims[u]):
+                    for j in range(self.dims[w]):
+                        row = [zero] * alg.dim
+                        for k in ks:
+                            row[k] = acts[k].data[i][j]
+                        if any(row):
+                            rows.append(row)
+        return rows
 
     def __repr__(self):
         dv = ",".join(f"{v}:{d}" for v, d in self.dims.items() if d)
@@ -758,8 +782,9 @@ def min_presentation(m):
     return MinPresentation(p1, p0, f, epi, verts1, verts0, layout1, layout0, ker, kappa)
 
 
-def transpose_module(m, pres=None):
-    """Tr M = coker(Hom(f, A): Hom(P0, A) -> Hom(P1, A)), a module over A^op.
+def transpose_module(pres):
+    """Tr M = coker(Hom(f, A): Hom(P0, A) -> Hom(P1, A)), a module over A^op,
+    read off the minimal presentation ``pres`` of M.
 
     Hom(Ae_v, A) = e_v A is the projective of A^op at v, and Hom(f, A) sends
     the generator of the i-th summand of P0 to the entries, at the paths
@@ -768,8 +793,6 @@ def transpose_module(m, pres=None):
     the same order.  The generator e_v of Ae_v is the first coordinate at v,
     as the shortest path v -> v, since basis indices ascend by length.
     """
-    if pres is None:
-        pres = min_presentation(m)
     columns = [
         (v, [row[entry[v][0]] for row in pres.f.mats[v].data])
         for v, entry in zip(pres.verts1, pres.layout1)
@@ -781,7 +804,7 @@ def transpose_module(m, pres=None):
             off, ks = entry.get(v, (0, ()))
             image.extend(column[off : off + len(ks)])
         images.append(image)
-    op = m.alg.opposite()
+    op = pres.p0.alg.opposite()
     p0_op, layout0_op = projective_sum(op, pres.verts0)
     p1_op, _layout1_op = projective_sum(op, pres.verts1)
     [fstar] = _generator_maps(p0_op, layout0_op, p1_op, [images])
@@ -789,12 +812,12 @@ def transpose_module(m, pres=None):
     return coker
 
 
-def translate(m, direction="forward", pres=None):
+def translate(m, direction="forward"):
     """AR translate: DTr (forward) or TrD (backward); zero on (in)jectives."""
     if direction == "forward":
-        return dual_module(transpose_module(m, pres))
+        return dual_module(transpose_module(min_presentation(m)))
     if direction == "backward":
-        return transpose_module(dual_module(m))
+        return transpose_module(min_presentation(dual_module(m)))
     raise PreconditionError(f"unknown direction {direction!r}")
 
 
@@ -832,28 +855,10 @@ def ext1_dim(x, y):
 
 
 def _action_rows(mods):
-    """The matrix whose kernel is {a : a.M = 0 for every M in ``mods``}: one
-    row per module, vertex pair (w, u) and matrix entry, over the paths
-    w -> u of the algebra's basis."""
-    alg = mods[0].alg
-    field = alg.field
-    rows = []
-    for m in mods:
-        for w in alg.quiver.vertices:
-            if m.dims[w] == 0:
-                continue
-            for u, ks in _projective_piece(alg, w)[0].items():
-                if m.dims[u] == 0:
-                    continue
-                acts = {k: m.path_action(alg.basis[k]) for k in ks}
-                for i in range(m.dims[u]):
-                    for j in range(m.dims[w]):
-                        row = [field.zero] * alg.dim
-                        for k in ks:
-                            row[k] = acts[k].data[i][j]
-                        if any(row):
-                            rows.append(row)
-    return Matrix(len(rows), alg.dim, rows, field)
+    """The kept ``action_rows`` of ``mods`` stacked, whose kernel is {a : a.M = 0
+    for every M in ``mods``}; ``rank`` and ``kernel_basis`` reduce a copy."""
+    rows = [row for m in mods for row in m.action_rows]
+    return Matrix.adopt(len(rows), mods[0].alg.dim, rows, mods[0].field)
 
 
 def annihilator(mods):
@@ -954,7 +959,7 @@ def almost_split_sequence(m):
     pres = min_presentation(m)
     if not pres.verts1:
         raise PreconditionError("projective modules start no almost split sequence")
-    tau = translate(m, "forward", pres)
+    tau = dual_module(transpose_module(pres))
     ker, kappa = pres.kernel, pres.kernel_incl
     hom_k, image = _ext1(pres, tau)
     ext_dim = hom_k.dim - image.dim

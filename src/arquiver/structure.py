@@ -8,7 +8,7 @@ independent oracle for End(M).  Its radical is exact in characteristic 0
 and over F_p once p exceeds the dimension; a smaller p is refused.
 """
 
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     InadmissibleIdeal,
@@ -110,13 +110,20 @@ def _rational_candidates(p, field):
     of p cleared of denominators.  An integral candidate is an ``int``."""
     scale = lcm(*(c.denominator for c in p))
     a0, an = abs(int(next(c for c in p if c) * scale)), abs(int(p[-1] * scale))
+    us = _divisors(a0)
     out = set()
-    for w in (d for d in range(1, an + 1) if an % d == 0):
+    for w in _divisors(an):
         r = field.inv(w)
-        for u in (d for d in range(1, a0 + 1) if a0 % d == 0):
+        for u in us:
             out.add(u * r)
             out.add(-u * r)
     return ([field.zero] if not p[0] else []) + sorted(out)
+
+
+def _divisors(n):
+    """The divisors of n > 0, ascending, by trial division up to isqrt(n)."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 # -- roots over F_p ------------------------------------------------------

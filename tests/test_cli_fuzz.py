@@ -1,0 +1,110 @@
+"""CLI fuzz on random presentations that are finite-dimensional by construction.
+
+A presentation is either an acyclic quiver, each arrow going from a lower
+to a higher vertex index, with monomial relations and two-term
+commutativity relations, or a quiver with no loops whose radical squares to
+zero.  Each has at most 6 vertices and lives over Q or F_2, F_3, F_5, F_7,
+and its relation scalars include 1000000007/999983, whose rational root
+candidates once took a scan up to each coefficient.
+
+``algebra check``, ``tilted certify`` and ``cut enumerate`` must exit 0 to 3
+with no traceback.  An exit of 2, or of 3 from a command that fails on a
+limit, prints exactly one ``error:`` line on stderr; ``tilted certify``
+reports its limit in the ``NOT_CERTIFIED`` report instead (in the
+block that hit it, when the algebra is not connected), and prints
+nothing on stderr.  Presentations with loops stay out: some of them are
+infinite-dimensional in ways the basis build does not yet detect.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arquiver.cli import main
+
+FIELDS = ["Q", "F 2", "F 3", "F 5", "F 7"]
+SCALARS = ["1000000007/999983", "1/2", "1", "-1", "2", "-3"]
+LIMITS = ["--max-dim", "16", "--max-vertices", "80", "--cap", "20000"]
+COMMANDS = [["algebra", "check"], ["tilted", "certify", *LIMITS], ["cut", "enumerate", *LIMITS]]
+
+
+def _paths(arrows, length):
+    """The paths of the given length, as lists of arrow indices in the
+    order they are walked."""
+    paths = [[i] for i in range(len(arrows))]
+    for _ in range(length - 1):
+        paths = [p + [i] for p in paths for i, (s, _t) in enumerate(arrows) if s == arrows[p[-1]][1]]
+    return paths
+
+
+def _word(path):
+    return "*".join(f"a{i}" for i in reversed(path))
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(1, 6))
+    rad2 = draw(st.booleans())
+    pairs = [(s, t) for s in range(n) for t in range(n) if (s != t if rad2 else s < t)]
+    # a square 0 -> 1 -> 3, 0 -> 2 -> 3 first, often, so that commutativity
+    # relations get drawn
+    square = [(0, 1), (1, 3), (0, 2), (2, 3)] if n >= 4 and not rad2 and draw(st.booleans()) else []
+    arrows = square + (draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else [])
+    lines = [f"field {draw(st.sampled_from(FIELDS))}"]
+    lines += [f"vertex v{v}" for v in range(n)]
+    lines += [f"arrow a{i}: v{s} -> v{t}" for i, (s, t) in enumerate(arrows)]
+    if rad2:
+        lines.append("radical_square_zero")
+        return "\n".join(lines) + "\n"
+    longer = _paths(arrows, 2) + _paths(arrows, 3)
+    if longer:
+        for p in draw(st.lists(st.sampled_from(longer), max_size=2)):
+            lines.append(f"relation {_word(p)}")
+    parallel = [
+        (p, q)
+        for p in longer
+        for q in longer
+        if p < q and arrows[p[0]][0] == arrows[q[0]][0] and arrows[p[-1]][1] == arrows[q[-1]][1]
+    ]
+    if parallel:
+        for p, q in draw(st.lists(st.sampled_from(parallel), min_size=bool(square), max_size=2)):
+            lines.append(f"relation {_word(p)} - {draw(st.sampled_from(SCALARS))}*{_word(q)}")
+    return "\n".join(lines) + "\n"
+
+
+def _limit_reached(report):
+    """Whether a certificate, or one of its connected blocks, stopped on a limit."""
+    return bool(report.get("limit")) or any(_limit_reached(b) for b in report.get("blocks") or [])
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=60_000)
+@given(presentations())
+def test_cli_exits_cleanly_on_finite_presentations(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.alg"
+        path.write_text(text)
+        for command in COMMANDS:
+            code, out, err = _run([*command[:2], str(path), *command[2:]])
+            assert code in (0, 1, 2, 3), (command, text)
+            assert "Traceback" not in err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            if code == 3 and command[0] == "tilted":
+                report = json.loads(out)
+                assert report["verdict"] == "NOT_CERTIFIED" and _limit_reached(report), text
+                assert err == ""
+            elif code in (2, 3):
+                assert len(errors) == 1 and err == errors[0] + "\n", (command, text, err)
+            else:
+                assert err == "", (command, text, err)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -300,6 +304,39 @@ def test_cli_tilted_certify_negative(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert out["verdict"] == "REFUTED_BY_ENUMERATION"
+
+
+SQUARE = """field Q
+vertex a
+vertex b
+vertex c
+vertex d
+arrow x: a -> b
+arrow y: b -> d
+arrow z: a -> c
+arrow w: c -> d
+relation y*x - {scalar}*w*z
+"""
+
+
+def test_cli_certifies_a_square_with_a_large_relation_scalar(tmp_path):
+    # the rational root candidates of its endomorphism eigenvalues were once
+    # found by a scan up to each coefficient: about 50 s on a 2-vCPU Xeon
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    runs = []
+    for scalar in ("2", "1000000007/999983"):
+        path = tmp_path / "square.alg"
+        path.write_text(SQUARE.format(scalar=scalar))
+        runs.append(
+            subprocess.run(
+                [sys.executable, "-m", "arquiver", "tilted", "certify", str(path)],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+        )
+    small, large = runs
+    assert small.returncode == 0 and json.loads(small.stdout)["verdict"] == "CERTIFIED_TILTED"
+    assert (large.returncode, large.stdout, large.stderr) == (small.returncode, small.stdout, small.stderr)
 
 
 def test_cli_quotient_and_emit(tmp_path, capsys):

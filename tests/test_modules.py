@@ -422,6 +422,34 @@ def test_sincere_faithful(alg_cycle3, alg_cycle4, c4):
     assert sincere_faithful([regular_module(alg_cycle4)]) == (True, True)
 
 
+def test_action_rows_are_built_once_per_module(monkeypatch, alg_cycle3):
+    mods = [
+        projective_module(alg_cycle3, "b"),
+        simple_module(alg_cycle3, "b"),
+        projective_module(alg_cycle3, "a"),
+    ]
+    calls = []
+    path_action = Module.path_action
+    monkeypatch.setattr(Module, "path_action", lambda m, p: calls.append(p) or path_action(m, p))
+    first = sincere_faithful(mods)
+    built = len(calls)
+    assert built
+    assert sincere_faithful(mods) == first
+    assert len(annihilator(mods)) == 1
+    assert len(calls) == built
+
+
+def test_action_rows_of_a_family_stack_each_members_rows(alg_cycle4):
+    mods = [regular_module(alg_cycle4), simple_module(alg_cycle4, "b"), projective_module(alg_cycle4, "d")]
+    kept = [[list(row) for row in m.action_rows] for m in mods]
+    stacked = modules._action_rows(mods)
+    assert (stacked.nrows, stacked.ncols) == (sum(map(len, kept)), alg_cycle4.dim)
+    assert stacked.data == [row for rows in kept for row in rows]
+    # reducing the stack leaves the rows kept on each module as they were
+    assert sincere_faithful(mods) == (True, True) and annihilator(mods) == []
+    assert [m.action_rows for m in mods] == kept
+
+
 def test_pdim(alg_a2, c4):
     for v in "abcd":
         assert pdim_le_1(c4["P"][v])

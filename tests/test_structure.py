@@ -111,6 +111,16 @@ def test_rational_roots_fractional():
     assert roots == [(F(1, 2), 1)] and residual == 0
 
 
+def test_rational_roots_of_a_large_fraction():
+    # x (x - 999983/1000000007) (x + 2), cleared: the divisors of the
+    # coefficients are found by trial division up to their square roots
+    r = F(999983, 1000000007)
+    roots, residual = rational_roots([F(0), -2 * r, 2 - r, F(1)])
+    assert residual == 0
+    assert roots == [(0, 1), (-2, 1), (r, 1)]
+    assert [type(x) for x, _m in roots] == [int, int, F]
+
+
 def _scan_roots(poly, field):
     """Roots over F_p found by evaluating at every element of the field."""
     roots = []
