@@ -110,6 +110,24 @@ def test_cycle_certificates_are_pinned(tmp_path, capsys, n, digest):
     assert _cli(tmp_path, capsys, ["tilted", "certify"], cycle_text(n)) == (1, digest, "")
 
 
+# (exit code, stdout digest) of ``ar build`` and ``tilted certify`` over two
+# prime fields, recorded while an element of F_p was still an object
+PINNED_PRIME_FIELD_RUNS = {
+    ("b_a3.alg", "F 32003"): ((0, "b471b3fd060c14f3"), (0, "60705ef4efea81c0")),
+    ("b_a3.alg", "F 3"): ((0, "90dace8614bcbd26"), (0, "60705ef4efea81c0")),
+    ("cycle4_rad2.alg", "F 32003"): ((0, "57a1dbfa7288933c"), (1, "f750c03914ef11c8")),
+    ("cycle4_rad2.alg", "F 3"): ((0, "0b2b5c7d0bb74bfa"), (1, "f750c03914ef11c8")),
+}
+
+
+@pytest.mark.parametrize("label, field", list(PINNED_PRIME_FIELD_RUNS))
+def test_prime_field_builds_and_certificates_are_pinned(tmp_path, capsys, label, field):
+    text = (FIXTURES / label).read_text().replace("field Q", f"field {field}", 1)
+    build, certificate = PINNED_PRIME_FIELD_RUNS[label, field]
+    assert _cli(tmp_path, capsys, ["ar", "build"], text) == (*build, "")
+    assert _cli(tmp_path, capsys, ["tilted", "certify"], text) == (*certificate, "")
+
+
 PINNED_ENUMERATIONS = {
     "a2.alg": "e800a8b7b232cf56",
     "a3_line.alg": "5e2f86d09ba77628",

@@ -443,6 +443,11 @@ PINNED_KNITS = {
     "D7 000101": ("53ebed303fdf60fe", "710f4881a6ba5683"),
     "A9 11011000": ("185ab4aefc549d35", "22ca370aab3d8b5c"),
     "E6 01001 F 32003": ("d8d49433d31ce64c", "46fea4d2d16a9779"),
+    "D7 000101 F 32003": ("c6bd038c5630c9d3", "710f4881a6ba5683"),
+    "A9 11011000 F 32003": ("a4ece7f096dbaf87", "22ca370aab3d8b5c"),
+    "E6 01001 F 3": ("848653a67ffef6bd", "46fea4d2d16a9779"),
+    "SQUARE F 3": ("a4fdf71f9df42295", "120225db6071c8bc"),
+    "D4 F 5": ("5f1bcd82d2344dda", "9dd836c2b25b86c7"),
     "cycle12": ("05c041f97fbd97c7", "78f633ba4a90bddc"),
 }
 
