@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InadmissibleIdeal, InputSyntaxError, NotFiniteDimensional
-from .linalg import QQ, PrimeField, RowSpace
+from .linalg import QQ, PrimeField, RowSpace, canonical, residue
 
 PATH_CAP = 20000                # most paths of one length listed in the basis build
 ASSOCIATIVITY_CHECK_DIM = 40    # largest dimension whose table is checked
@@ -185,7 +185,7 @@ def _parse_relation_expr(expr, quiver, field, line_no):
         except InputSyntaxError as exc:
             raise InputSyntaxError(str(exc), line_no) from None
         if sign < 0:
-            coeff = -coeff
+            coeff = residue(-coeff, field.char)
         terms.append((coeff, path))
         sign = 1
     return terms
@@ -320,7 +320,7 @@ class AlgebraBasis:
             for j, yj in y_terms:
                 for k, c in row[j]:
                     out[k] = out[k] + xi * yj * c
-        return out
+        return canonical(out, self.field.char)
 
     def element_label(self, x):
         """Readable form of a coordinate vector, for reports."""
@@ -363,17 +363,14 @@ class AlgebraBasis:
                     jk = row_j[k]
                     if not ij and not jk:
                         continue    # both sides are zero
-                    left = {}
+                    diff = {}       # (x*y)*z - x*(y*z)
                     for m, c in ij:
                         for t, d in self.table[m][k]:
-                            left[t] = left.get(t, self.field.zero) + c * d
-                    right = {}
+                            diff[t] = diff.get(t, 0) + c * d
                     for m, c in jk:
                         for t, d in self.table[i][m]:
-                            right[t] = right.get(t, self.field.zero) + c * d
-                    left = {t: c for t, c in left.items() if c}
-                    right = {t: c for t, c in right.items() if c}
-                    if left != right:
+                            diff[t] = diff.get(t, 0) - c * d
+                    if any(canonical(list(diff.values()), self.field.char)):
                         raise InadmissibleIdeal(
                             f"multiplication table not associative at triple ({i},{j},{k})"
                         )
@@ -424,7 +421,7 @@ def _ideal_span(presentation, by_len, slack, n):
                             w = quiver.compose(u, quiver.compose(p, v))
                             if w.length < n:
                                 vec[index[w]] = vec[index[w]] + c
-                        span.add(vec)
+                        span.add(canonical(vec, field.char))
     return coords, index, dict(zip(span.pivots, span.rows))
 
 
@@ -470,7 +467,7 @@ def build_basis(presentation, bound=32):
         i = index[path]
         if i in position:
             return [(position[i], field.one)]
-        return [(position[j], -c) for j, c in enumerate(rows[i]) if c and j != i]
+        return [(position[j], residue(-c, field.char)) for j, c in enumerate(rows[i]) if c and j != i]
 
     basis = [coords[i] for i in free]
     table = [

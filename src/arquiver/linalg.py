@@ -1,9 +1,16 @@
 """Exact dense linear algebra over Q and prime fields.
 
 An element of Q is a Python ``int`` when it is an integer and a
-``Fraction`` otherwise; an element of F_p is an ``FpElement``.  Nothing is
-floating point: every division goes through ``field.inv``, since ``/``
+``Fraction`` otherwise; an element of F_p is an ``int`` in 0..p-1.  Nothing
+is floating point: every division goes through ``field.inv``, since ``/``
 between two ints would give a float.
+
+Over F_p each operation here takes elements in 0..p-1 and reduces the
+cells it wrote mod p, a step that runs only when ``field.char`` is
+nonzero, so every zero test and every result sees canonical residues; Q
+runs the same loops with no reduction.  Code elsewhere that adds, negates
+or multiplies elements reduces its results the same way (``residue`` and
+``canonical``).
 
 Everything downstream (Hom spaces, translates, annihilators) reduces to
 kernels and linear solves over an exact field, so determinism here means
@@ -89,121 +96,73 @@ class RationalField:
         return "QQ"
 
 
-class FpElement:
-    """Residue mod p; canonical value in 0..p-1."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.value * pow(v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
+# Miller-Rabin on these bases is exact below MR_BOUND (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    """Whether n is prime, for n < ``MR_BOUND``."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class PrimeField:
-    """The prime field F_p."""
+    """The prime field F_p: an element is an ``int`` in 0..p-1.
+
+    Sums and products of such ints leave that range, so whatever combines
+    elements reduces its result mod p before anything tests it for zero or
+    compares it; see the module docstring.
+    """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
+        if p >= MR_BOUND:
+            raise ValueError(f"{p} is too large: primality is certified only below {MR_BOUND}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
         self.name = f"F {p}"
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
     def from_int(self, n):
-        return FpElement(n, self.p)
+        return n % self.p
 
     def inv(self, x):
         if not x:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(pow(x.value, self.p - 2, self.p), self.p)
+        return pow(x, self.p - 2, self.p)
 
     def parse(self, text):
         """An integer n, or a quotient a/b read as a * b^-1 with b a unit mod p."""
         num, den = text.split("/", 1) if "/" in text else (text, "1")
         try:
-            return self.from_int(int(num)) * self.inv(self.from_int(int(den)))
+            return self.from_int(int(num) * self.inv(self.from_int(int(den))))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an F_{self.p} scalar: {text!r}") from exc
 
     def format(self, x):
-        return str(x.value)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -272,20 +231,18 @@ class Matrix:
             raise DimensionError("matrix addition shape mismatch")
         if not self.nrows or not self.ncols:
             return _empty(self.nrows, self.ncols, self.field)
-        return Matrix.adopt(
-            self.nrows,
-            self.ncols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.field,
-        )
+        rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return Matrix.adopt(self.nrows, self.ncols, _reduced(rows, self.field.char), self.field)
 
     def __sub__(self, other):
-        return self + other.scale(-self.field.one)
+        return self + other.scale(-1)
 
     def scale(self, c):
+        """c times the matrix; over F_p, c may be any int."""
         if not self.nrows or not self.ncols:
             return _empty(self.nrows, self.ncols, self.field)
-        return Matrix.adopt(self.nrows, self.ncols, [[c * a for a in row] for row in self.data], self.field)
+        rows = [[c * a for a in row] for row in self.data]
+        return Matrix.adopt(self.nrows, self.ncols, _reduced(rows, self.field.char), self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -295,20 +252,20 @@ class Matrix:
                 )
             if not (self.nrows and self.ncols and other.ncols):
                 return Matrix.zeros(self.nrows, other.ncols, self.field)
-            zero = self.field.zero
-            out = [[zero] * other.ncols for _ in range(self.nrows)]
-            for i in range(self.nrows):
-                row = self.data[i]
+            zero, p = self.field.zero, self.field.char
+            out = []
+            for row in self.data:
+                out_row = [zero] * other.ncols
                 for k in range(self.ncols):
                     a = row[k]
                     if not a:
                         continue
                     other_row = other.data[k]
-                    out_row = out[i]
                     for j in range(other.ncols):
                         b = other_row[j]
                         if b:
                             out_row[j] = out_row[j] + a * b
+                out.append([c % p for c in out_row] if p else out_row)
             return Matrix.adopt(self.nrows, other.ncols, out, self.field)
         return NotImplemented
 
@@ -324,7 +281,7 @@ class Matrix:
                 if a and x:
                     s = s + a * x
             out.append(s)
-        return out
+        return canonical(out, self.field.char)
 
     def transpose(self):
         if not self.nrows or not self.ncols:
@@ -366,15 +323,45 @@ def _empty(nrows, ncols, field=QQ):
     return m
 
 
+def residue(x, char):
+    """x reduced mod ``char``, the characteristic of the field, or x itself
+    when that is 0."""
+    return x % char if char else x
+
+
+def canonical(values, char):
+    """The list ``values`` reduced mod ``char`` as ``residue`` reduces one
+    element, or ``values`` itself when ``char`` is 0."""
+    return [a % char for a in values] if char else values
+
+
+def _reduced(rows, p):
+    """The rows reduced mod p, or the rows themselves when p is 0."""
+    return [[a % p for a in row] for row in rows] if p else rows
+
+
 def _support(row, start=0):
     """Columns from ``start`` on where ``row`` is nonzero."""
     return [j for j in range(start, len(row)) if row[j]]
 
 
-def _eliminate(row, f, pivot_row, support):
-    """row -= f * pivot_row, in place, over the pivot row's support."""
+def _scale(row, c, support, p):
+    """row *= c, in place, over ``support``, then mod p when p is nonzero."""
+    for j in support:
+        row[j] = row[j] * c
+    if p:
+        for j in support:
+            row[j] %= p
+
+
+def _eliminate(row, f, pivot_row, support, p):
+    """row -= f * pivot_row, in place, over the pivot row's support, then
+    mod p there when p is nonzero."""
     for j in support:
         row[j] = row[j] - f * pivot_row[j]
+    if p:
+        for j in support:
+            row[j] %= p
 
 
 def rref(m):
@@ -382,6 +369,7 @@ def rref(m):
     if not m.nrows or not m.ncols:
         return _empty(m.nrows, m.ncols, m.field), []
     data = [list(row) for row in m.data]
+    p = m.field.char
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -395,12 +383,10 @@ def rref(m):
         data[r], data[pr] = data[pr], data[r]
         prow = data[r]
         support = _support(prow, c)
-        inv = m.field.inv(prow[c])
-        for j in support:
-            prow[j] = prow[j] * inv
+        _scale(prow, m.field.inv(prow[c]), support, p)
         for i in range(m.nrows):
             if i != r and data[i][c]:
-                _eliminate(data[i], data[i][c], prow, support)
+                _eliminate(data[i], data[i][c], prow, support, p)
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -421,13 +407,13 @@ def kernel_basis(m):
     in increasing free-column order.  Deterministic for identical input.
     """
     red, pivots = rref(m)
-    zero, one = m.field.zero, m.field.one
+    zero, one, p = m.field.zero, m.field.one, m.field.char
     basis = []
     for fc in _non_pivots(m.ncols, pivots):
         v = [zero] * m.ncols
         v[fc] = one
         for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][fc]
+            v[pc] = -red.data[i][fc] % p if p else -red.data[i][fc]
         basis.append(v)
     return basis
 
@@ -484,9 +470,10 @@ class RowSpace:
             self.add(v)
 
     def _reduce_in_place(self, v):
+        char = self.field.char
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
-                _eliminate(v, v[p], row, _support(row, p))
+                _eliminate(v, v[p], row, _support(row, p), char)
 
     def add(self, v):
         """Reduce v against the current rows; absorb it when independent."""
@@ -497,15 +484,13 @@ class RowSpace:
         support = _support(v)
         if not support:
             return False
-        lead = support[0]
-        inv = self.field.inv(v[lead])
-        for j in support:
-            v[j] = v[j] * inv
+        lead, char = support[0], self.field.char
+        _scale(v, self.field.inv(v[lead]), support, char)
         # v vanishes at every existing pivot, so clearing its pivot column
         # from the other rows keeps all rows reduced against each other
         for row in self.rows:
             if row[lead]:
-                _eliminate(row, row[lead], v, support)
+                _eliminate(row, row[lead], v, support, char)
         k = bisect_left(self.pivots, lead)
         self.rows.insert(k, v)
         self.pivots.insert(k, lead)

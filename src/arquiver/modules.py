@@ -24,7 +24,7 @@ from .errors import (
     NonSplitEndomorphismRing,
     PreconditionError,
 )
-from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank
+from .linalg import Matrix, RowSpace, _free_columns, kernel_basis, rank, residue
 from .structure import (
     StructureAlgebra,
     is_hereditary as structure_is_hereditary,
@@ -384,7 +384,7 @@ def cokernel_module(f):
             pm.data[r_i][i] = field.one
         for row, p in zip(image.rows, image.pivots):
             for r_i, i in enumerate(rep):
-                pm.data[r_i][p] = -row[i]
+                pm.data[r_i][p] = residue(-row[i], field.char)
         sm = Matrix.zeros(m.dims[v], len(rep), field)
         for j, i in enumerate(rep):
             sm.data[i][j] = field.one
@@ -431,6 +431,7 @@ def hom_basis(x, y):
     """Basis of Hom(X, Y): solutions of the intertwining equations."""
     alg = x.alg
     field = x.field
+    char = field.char
     verts = alg.quiver.vertices
     offsets = {}
     total = 0
@@ -445,14 +446,16 @@ def hom_basis(x, y):
         for i in range(y.dims[w]):
             for j in range(x.dims[v]):
                 row = [field.zero] * total
-                # (f_w . X_a)[i][j] = sum_k f_w[i][k] X_a[k][j]
+                # (f_w . X_a)[i][j] = sum_k f_w[i][k] X_a[k][j], into zero cells
                 for k in range(x.dims[w]):
                     if xa.data[k][j]:
-                        row[offsets[w] + i * x.dims[w] + k] = row[offsets[w] + i * x.dims[w] + k] + xa.data[k][j]
-                # (Y_a . f_v)[i][j] = sum_l Y_a[i][l] f_v[l][j]
+                        row[offsets[w] + i * x.dims[w] + k] = xa.data[k][j]
+                # minus (Y_a . f_v)[i][j] = sum_l Y_a[i][l] f_v[l][j]; only a
+                # loop (v = w) meets a cell written above
                 for l in range(y.dims[v]):
                     if ya.data[i][l]:
-                        row[offsets[v] + l * x.dims[v] + j] = row[offsets[v] + l * x.dims[v] + j] - ya.data[i][l]
+                        c = offsets[v] + l * x.dims[v] + j
+                        row[c] = (row[c] - ya.data[i][l]) % char if char else row[c] - ya.data[i][l]
                 if any(row):
                     rows.append(row)
     mat = Matrix.adopt(len(rows), total, rows, field) if rows else Matrix.zeros(0, total, field)
@@ -497,11 +500,16 @@ class HomSpace:
         self._vecs = [([i for i, a in enumerate(vec) if a], [a for a in vec if a]) for vec in flat]
 
     def _accumulate(self, acc, c):
-        """acc + sum c_j basis_j on flat vectors, in place."""
+        """acc + sum c_j basis_j on flat vectors, in place; over F_p the
+        c_j may be any ints."""
+        char = self.x.field.char
         for cj, (cols, vals) in zip(c, self._vecs):
             if cj:
                 for i, a in zip(cols, vals):
                     acc[i] = acc[i] + cj * a
+                if char:
+                    for i in cols:
+                        acc[i] %= char
         return acc
 
     def coords(self, f):
@@ -522,17 +530,16 @@ def _eigenvalues(f, verts):
 
     The eigenvalues are the roots in the ground field of the minimal
     polynomials of f's blocks, in the order ``rational_roots`` gives for the
-    minimal polynomial of f: over Q zero first, then ascending; over F_p
-    ascending.  ``rootless`` says whether some factor has no root in the
-    field.
+    minimal polynomial of f: zero first, then ascending, which over F_p is
+    the order of the residues 0..p-1.  ``rootless`` says whether some
+    factor has no root in the field.
     """
     roots, rootless = set(), False
     for v in verts:
         found, residual = rational_roots(matrix_min_poly(f.mats[v]), f.field)
         roots.update(lam for lam, _mult in found)
         rootless = rootless or residual > 0
-    key = (lambda lam: (lam != 0, lam)) if f.field.char == 0 else (lambda lam: lam.value)
-    return sorted(roots, key=key), rootless
+    return sorted(roots, key=lambda lam: (lam != 0, lam)), rootless
 
 
 def _combination(basis, coeffs):
@@ -995,10 +1002,7 @@ def almost_split_sequence(m):
     for v in m.alg.quiver.vertices:
         if not ker.dims[v]:
             continue
-        rows = []
-        for r in g.mats[v].data:
-            rows.append([-a for a in r])
-        rows.extend(kappa.mats[v].data)
+        rows = g.mats[v].scale(-1).data + kappa.mats[v].data
         h_mats[v] = Matrix(tau.dims[v] + pres.p0.dims[v], ker.dims[v], rows, m.field)
     h = ModuleMap(ker, total, h_mats, check=False)
     middle, proj, sect = cokernel_module(h)

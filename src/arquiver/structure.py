@@ -16,7 +16,7 @@ from .errors import (
     NonSplitEndomorphismRing,
     UnsupportedRadicalComputation,
 )
-from .linalg import QQ, Matrix, RowSpace, kernel_basis, solve
+from .linalg import QQ, Matrix, RowSpace, canonical, kernel_basis, residue, solve
 
 VERIFY_DIM = 40         # largest dimension whose structure constants are checked
 LIFT_ITERATIONS = 64    # most steps of the idempotent lifting e -> 3e^2 - 2e^3
@@ -38,7 +38,7 @@ def poly_degree(p):
 def poly_eval(p, x, field=QQ):
     acc = field.zero
     for c in reversed(p):
-        acc = acc * x + c
+        acc = residue(acc * x + c, field.char)
     return acc
 
 
@@ -50,9 +50,9 @@ def poly_divide_linear(p, lam, field=QQ):
     q = [field.zero] * n
     acc = field.zero
     for i in range(n, 0, -1):
-        acc = p[i] + acc * lam
+        acc = residue(p[i] + acc * lam, field.char)
         q[i - 1] = acc
-    return q, p[0] + acc * lam
+    return q, residue(p[0] + acc * lam, field.char)
 
 
 def matrix_min_poly(m):
@@ -70,7 +70,7 @@ def matrix_min_poly(m):
             sol = solve(cols, v)
             if sol is not None:
                 # power k = sum sol_i * power_i  ->  x^k - sum sol_i x^i
-                poly = [-c for c in sol] + [field.one]
+                poly = canonical([-c for c in sol], field.char) + [field.one]
                 return poly_normalize(poly, field)
         vecs.append(v)
         power = power * m
@@ -220,10 +220,10 @@ def _fp_roots(poly, field):
     repeated squaring, so no scan of the field is needed.
     """
     p = field.char
-    f = _ip_trim([c.value for c in poly])
+    f = _ip_trim(list(poly))
     h = _ip_sub(_ip_powmod([0, 1], p, f, p), [0, 1], p)
     g = _ip_monic_gcd(f, h, p)
-    return [field.from_int(r) for r in sorted(_ip_split(g, p))]
+    return sorted(_ip_split(g, p))
 
 
 # -- structure algebras --------------------------------------------------
@@ -281,13 +281,11 @@ class StructureAlgebra:
                 for k, v in enumerate(row):
                     if v:
                         out[k] = out[k] + c * v
-        return out
+        return canonical(out, self.field.char)
 
     def trace_of_left_mult(self, x):
-        t = self.field.zero
-        for k in range(self.dim):
-            t = t + self.mul(x, self.basis_vector(k))[k]
-        return t
+        t = sum(self.mul(x, self.basis_vector(k))[k] for k in range(self.dim))
+        return residue(t, self.field.char)
 
     def radical(self):
         """Basis of rad(A) via the regular-representation trace form."""
@@ -324,7 +322,7 @@ class StructureAlgebra:
                 for i in range(self.dim):
                     bi = self.basis_vector(i)
                     row.append(self.mul(bi, bj)[k] - self.mul(bj, bi)[k])
-                rows.append(row)
+                rows.append(canonical(row, self.field.char))
         m = Matrix(len(rows), self.dim, rows, self.field)
         return kernel_basis(m)
 
@@ -381,16 +379,7 @@ def split_commutative_semisimple(alg):
                 refined.append(w_basis)
                 continue
             for lam, _ in roots:
-                shifted = Matrix(
-                    lmat.nrows,
-                    lmat.ncols,
-                    [
-                        [lmat.data[i][j] - (lam if i == j else field.zero) for j in range(lmat.ncols)]
-                        for i in range(lmat.nrows)
-                    ],
-                    field,
-                )
-                eig = kernel_basis(shifted)
+                eig = kernel_basis(lmat - Matrix.identity(lmat.nrows, field).scale(lam))
                 sub = []
                 for v in eig:
                     w = [field.zero] * alg.dim
@@ -398,7 +387,7 @@ def split_commutative_semisimple(alg):
                         if c:
                             for k, val in enumerate(b):
                                 w[k] = w[k] + c * val
-                    sub.append(w)
+                    sub.append(canonical(w, field.char))
                 refined.append(sub)
         subspaces = refined
     idempotents = []
@@ -410,14 +399,14 @@ def split_commutative_semisimple(alg):
         lam = None
         for a, b in zip(sq, w):
             if b:
-                lam = a * field.inv(b)
+                lam = residue(a * field.inv(b), field.char)
                 break
         if lam is None or not lam:
             raise NonSplitEndomorphismRing("degenerate block while normalizing idempotent")
-        if sq != [lam * c for c in w]:
+        if sq != canonical([lam * c for c in w], field.char):
             raise NonSplitEndomorphismRing("block is not closed under squaring")
         r = field.inv(lam)
-        idempotents.append([c * r for c in w])
+        idempotents.append(canonical([c * r for c in w], field.char))
     return idempotents
 
 
@@ -429,7 +418,7 @@ def lift_idempotent(alg, x):
         if sq == e:
             return e
         cube = alg.mul(sq, e)
-        e = [3 * a - 2 * b for a, b in zip(sq, cube)]
+        e = canonical([3 * a - 2 * b for a, b in zip(sq, cube)], alg.field.char)
     raise NonSplitEndomorphismRing("idempotent lifting did not converge")
 
 
@@ -460,10 +449,10 @@ def primitive_orthogonal_idempotents(alg):
     for b in bars:
         f = lift_idempotent(alg, alg.mul(g, alg.mul(lift_coords(b), g)))
         idempotents.append(f)
-        g = [a - c for a, c in zip(g, f)]
+        g = canonical([a - c for a, c in zip(g, f)], alg.field.char)
     total = [alg.field.zero] * alg.dim
     for e in idempotents:
-        total = [a + b for a, b in zip(total, e)]
+        total = canonical([a + b for a, b in zip(total, e)], alg.field.char)
     if total != list(alg.unit):
         raise NonSplitEndomorphismRing("idempotents do not sum to the unit")
     for i, e in enumerate(idempotents):

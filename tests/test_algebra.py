@@ -65,7 +65,7 @@ def test_prime_field_reads_a_quotient_scalar_as_a_product_with_an_inverse():
     # 1/3 = 2 in F_5, so the relation reads 2*g*f - 2*g*h
     pres = parse_presentation(README_RELATION)
     (rel,) = pres.relations
-    assert [(c.value, "*".join(p.arrows)) for c, p in rel.terms] == [(2, "g*f"), (3, "g*h")]
+    assert [(c, "*".join(p.arrows)) for c, p in rel.terms] == [(2, "g*f"), (3, "g*h")]
     assert build_basis(pres).dim == 7
 
 

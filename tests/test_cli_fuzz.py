@@ -14,6 +14,12 @@ reports its limit in the ``NOT_CERTIFIED`` report instead (in the
 block that hit it, when the algebra is not connected), and prints
 nothing on stderr.  Presentations with loops stay out: some of them are
 infinite-dimensional in ways the basis build does not yet detect.
+
+The invariance oracle runs presentations whose scalars are units mod 32003
+over Q and over ``F 32003``.  The indecomposables of a representation-finite
+algebra, and so its AR quiver, do not change with the field here: whenever
+both runs finish, the ``tilted certify`` verdict, the ``ar build`` vertex
+count and flags, and ``combinatorial_data`` must agree.
 """
 
 import contextlib
@@ -25,7 +31,10 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arquiver.algebra import build_basis, parse_presentation
 from arquiver.cli import main
+from arquiver.errors import ArquiverError
+from arquiver.knitting import knit
 
 FIELDS = ["Q", "F 2", "F 3", "F 5", "F 7"]
 SCALARS = ["1000000007/999983", "1/2", "1", "-1", "2", "-3"]
@@ -46,8 +55,12 @@ def _word(path):
     return "*".join(f"a{i}" for i in reversed(path))
 
 
+# the scalars that are units mod 32003: numerator and denominator prime to it
+UNIT_SCALARS = [s for s in SCALARS if all(int(t) % 32003 for t in s.lstrip("-").split("/"))]
+
+
 @st.composite
-def presentations(draw):
+def presentations(draw, fields=FIELDS, scalars=SCALARS):
     n = draw(st.integers(1, 6))
     rad2 = draw(st.booleans())
     pairs = [(s, t) for s in range(n) for t in range(n) if (s != t if rad2 else s < t)]
@@ -55,7 +68,7 @@ def presentations(draw):
     # relations get drawn
     square = [(0, 1), (1, 3), (0, 2), (2, 3)] if n >= 4 and not rad2 and draw(st.booleans()) else []
     arrows = square + (draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else [])
-    lines = [f"field {draw(st.sampled_from(FIELDS))}"]
+    lines = [f"field {draw(st.sampled_from(fields))}"]
     lines += [f"vertex v{v}" for v in range(n)]
     lines += [f"arrow a{i}: v{s} -> v{t}" for i, (s, t) in enumerate(arrows)]
     if rad2:
@@ -73,7 +86,7 @@ def presentations(draw):
     ]
     if parallel:
         for p, q in draw(st.lists(st.sampled_from(parallel), min_size=bool(square), max_size=2)):
-            lines.append(f"relation {_word(p)} - {draw(st.sampled_from(SCALARS))}*{_word(q)}")
+            lines.append(f"relation {_word(p)} - {draw(st.sampled_from(scalars))}*{_word(q)}")
     return "\n".join(lines) + "\n"
 
 
@@ -108,3 +121,34 @@ def test_cli_exits_cleanly_on_finite_presentations(text):
                 assert len(errors) == 1 and err == errors[0] + "\n", (command, text, err)
             else:
                 assert err == "", (command, text, err)
+
+
+def _outcome(text):
+    """(certify verdict, ar build vertices with flags, combinatorial_data),
+    or None when either command stops on a limit or refuses the algebra."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.alg"
+        path.write_text(text)
+        code, out, _err = _run(["tilted", "certify", str(path), *LIMITS])
+        if code not in (0, 1):
+            return None
+        verdict = json.loads(out)["verdict"]
+        code, out, _err = _run(["ar", "build", str(path), *LIMITS[:4]])
+        if code != 0:
+            return None
+    flags = [(v["projective"], v["injective"]) for v in json.loads(out)["ar_quiver"]["vertices"]]
+    try:
+        data = knit(build_basis(parse_presentation(text)), max_vertices=80, max_dim=16).combinatorial_data()
+    except ArquiverError:
+        return None
+    return verdict, len(flags), flags, data
+
+
+@settings(max_examples=40, deadline=60_000)
+@given(presentations(fields=["Q"], scalars=UNIT_SCALARS))
+def test_q_and_a_large_prime_field_agree(text):
+    assert UNIT_SCALARS and "1000000007/999983" in UNIT_SCALARS
+    over_q = _outcome(text)
+    over_p = _outcome(text.replace("field Q", "field F 32003", 1))
+    if over_q is not None and over_p is not None:
+        assert over_q == over_p, text

@@ -339,6 +339,39 @@ def test_cli_certifies_a_square_with_a_large_relation_scalar(tmp_path):
     assert (large.returncode, large.stdout, large.stderr) == (small.returncode, small.stdout, small.stderr)
 
 
+A2_OVER = "field F {p}\nvertex a\nvertex b\narrow x: a -> b\n"
+
+
+def _ar_build(tmp_path, text):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "a2.alg"
+    path.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "arquiver", "ar", "build", str(path)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+
+
+def test_cli_reads_a_large_prime_and_refuses_pseudoprimes(tmp_path):
+    # primality was once tested by trial division: an A2 over F_(10^18 + 3)
+    # still ran when killed at 20 s
+    run = _ar_build(tmp_path, A2_OVER.format(p=1000000000000000003))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["algebra"]["field"] == "F 1000000000000000003"
+    # a Carmichael number and strong pseudoprimes to small bases
+    for n in (561, 2047, 3215031751):
+        run = _ar_build(tmp_path, A2_OVER.format(p=n))
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: line 1: {n} is not prime\n")
+    # past the bound below which the bases 2..41 certify a prime
+    n = 10**25 + 13
+    run = _ar_build(tmp_path, A2_OVER.format(p=n))
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (
+        f"error: line 1: {n} is too large: primality is certified only below 3317044064679887385961981\n"
+    )
+
+
 def test_cli_quotient_and_emit(tmp_path, capsys):
     emitted = tmp_path / "b.alg"
     rc = main(

@@ -127,8 +127,10 @@ def test_matrix_multiplication_and_empty():
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     a = f5.from_int(3)
-    assert a + a == f5.from_int(1)
-    assert a / f5.from_int(2) == f5.from_int(4)
+    assert type(a) is int and (f5.zero, f5.one, f5.from_int(-1)) == (0, 1, 4)
+    assert f5.from_int(a + a) == f5.from_int(1)
+    assert f5.from_int(a * f5.inv(f5.from_int(2))) == f5.from_int(4)
+    assert (f5.parse("-1/2"), f5.format(f5.parse("7"))) == (2, "2")
     with pytest.raises(ValueError):
         PrimeField(6)
 
@@ -139,7 +141,8 @@ def test_kernel_over_prime_field():
     basis = kernel_basis(a)
     assert len(basis) == 1
     x, y = basis[0]
-    assert x + f5.from_int(2) * y == f5.zero
+    assert f5.from_int(x + f5.from_int(2) * y) == f5.zero
+    assert basis == [[3, 1]]
 
 
 def test_field_descriptors():
@@ -170,25 +173,48 @@ def test_prime_field_inverse():
     f7 = PrimeField(7)
     assert f7.inv(f7.from_int(3)) == f7.from_int(5)
     for n in range(1, 7):
-        assert f7.from_int(n) * f7.inv(f7.from_int(n)) == f7.one
+        assert f7.from_int(f7.from_int(n) * f7.inv(f7.from_int(n))) == f7.one
     with pytest.raises(ZeroDivisionError):
         f7.inv(f7.zero)
+
+
+def test_primality_matches_trial_division_and_refuses_strong_pseudoprimes():
+    from arquiver.linalg import MR_BOUND, _is_prime
+
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+    # strong pseudoprimes to the bases 2..23 and 2..37, and a Carmichael number
+    for n in (3825123056546413051, 318665857834031151167461, 561):
+        assert not _is_prime(n)
+    assert _is_prime(1000000000000000003) and _is_prime(2**61 - 1) and _is_prime(32003)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(MR_BOUND)
 
 
 # -- property tests against a dense reference elimination -------------------
 #
 # The reference below sweeps every column of every row, as elimination did
 # before it learned to skip zero entries.  The arithmetic is exact, so the
-# sparse elimination must reproduce it entry for entry.
+# sparse elimination must reproduce it entry for entry.  Over F_p an element
+# is an int in 0..p-1, so the reference reduces each entry it computes.
 
 from hypothesis import given, settings, strategies as st
 
 from arquiver.linalg import _free_columns
+from tests.test_knitting import _text
 
 FIELDS = [QQ, PrimeField(5), PrimeField(32003)]
 
 
+def canon(field, row):
+    """The list ``row`` as the field holds it: reduced mod p over F_p."""
+    return [a % field.char for a in row] if field.char else list(row)
+
+
 def dense_rref(m):
+    field = m.field
     data = [list(row) for row in m.data]
     pivots = []
     r = 0
@@ -197,12 +223,12 @@ def dense_rref(m):
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        inv = data[r][c]
-        data[r] = [a / inv for a in data[r]]
+        inv = field.inv(data[r][c])
+        data[r] = canon(field, [a * inv for a in data[r]])
         for i in range(m.nrows):
             if i != r and data[i][c]:
                 f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                data[i] = canon(field, [a - f * b for a, b in zip(data[i], data[r])])
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -218,7 +244,7 @@ def dense_kernel(m):
         v[fc] = m.field.one
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc]
-        basis.append(v)
+        basis.append(canon(m.field, v))
     return basis
 
 
@@ -233,19 +259,16 @@ def dense_solve(m, b):
     return x
 
 
-def dense_rowspace(n, vectors):
+def dense_rowspace(n, vectors, field=QQ):
     """(rows, pivots) of the canonical RREF rows spanned by the vectors."""
     rows, pivots = [], []
     for v in vectors:
-        v = list(v)
-        for row, p in zip(rows, pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+        v = dense_residue(rows, pivots, v, field)
         lead = next((j for j, a in enumerate(v) if a), None)
         if lead is None:
             continue
-        v = [a / v[lead] for a in v]
+        inv = field.inv(v[lead])
+        v = canon(field, [a * inv for a in v])
         rows.append(v)
         pivots.append(lead)
         order = sorted(range(len(pivots)), key=lambda i: pivots[i])
@@ -255,8 +278,16 @@ def dense_rowspace(n, vectors):
             for j in range(len(rows)):
                 if i != j and rows[i][pivots[j]]:
                     f = rows[i][pivots[j]]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
+                    rows[i] = canon(field, [a - f * b for a, b in zip(rows[i], rows[j])])
     return rows, pivots
+
+
+def dense_residue(rows, pivots, v, field):
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            f = v[p]
+            v = canon(field, [a - f * b for a, b in zip(v, row)])
+    return list(v)
 
 
 @st.composite
@@ -314,25 +345,12 @@ def test_solve_matches_dense_reference(m, data):
 @given(sparse_matrices(), st.data())
 def test_rowspace_matches_dense_reference(m, data):
     space = RowSpace(m.ncols, m.data, field=m.field)
-    ref_rows, ref_pivots = dense_rowspace(m.ncols, m.data)
+    ref_rows, ref_pivots = dense_rowspace(m.ncols, m.data, m.field)
     assert space.rows == ref_rows
     assert space.pivots == ref_pivots
     probe = [m.field.from_int(data.draw(st.integers(-2, 2))) for _ in range(m.ncols)]
-    expected = list(probe)
-    for row, p in zip(ref_rows, ref_pivots):
-        if expected[p]:
-            f = expected[p]
-            expected = [a - f * b for a, b in zip(expected, row)]
-    assert space.reduce(probe) == expected
+    assert space.reduce(probe) == dense_residue(ref_rows, ref_pivots, probe, m.field)
     assert space.copy() == space and space.copy().pivots == space.pivots
-
-
-def dense_residue(rows, pivots, v):
-    for row, p in zip(rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,7 +358,7 @@ def dense_residue(rows, pivots, v):
 def test_quotient_coordinates_match_dense_reference(m, data):
     field, n = m.field, m.ncols
     space = RowSpace(n, m.data, field=field)
-    ref_rows, ref_pivots = dense_rowspace(n, m.data)
+    ref_rows, ref_pivots = dense_rowspace(n, m.data, field)
     rest = space.complement()
     assert rest == [i for i in range(n) if i not in ref_pivots]
     assert len(rest) == n - space.dim
@@ -351,7 +369,7 @@ def test_quotient_coordinates_match_dense_reference(m, data):
     def combination(coeffs, vectors):
         out = [field.zero] * n
         for c, v in zip(coeffs, vectors):
-            out = [a + c * b for a, b in zip(out, v)]
+            out = canon(field, [a + c * b for a, b in zip(out, v)])
         return out
 
     u, w = [scalar() for _ in range(n)], [scalar() for _ in range(n)]
@@ -360,18 +378,18 @@ def test_quotient_coordinates_match_dense_reference(m, data):
         before = list(v)
         coords = space.project(v)
         assert v == before
-        assert coords == [dense_residue(ref_rows, ref_pivots, v)[i] for i in rest]
+        assert coords == [dense_residue(ref_rows, ref_pivots, v, field)[i] for i in rest]
         assert (not any(coords)) == space.contains(v)
         # v minus the representative of its class lies in the span
         lifted = list(v)
         for c, i in zip(coords, rest):
             lifted[i] = lifted[i] - c
-        assert space.contains(lifted)
+        assert space.contains(canon(field, lifted))
     assert not any(space.project(inside))
     a, b = scalar(), scalar()
-    assert space.project(combination([a, b], [u, w])) == [
+    assert space.project(combination([a, b], [u, w])) == canon(field, [
         a * x + b * y for x, y in zip(space.project(u), space.project(w))
-    ]
+    ])
     assert all(not any(space.project(row)) for row in space.rows)
 
 
@@ -395,7 +413,7 @@ def test_empty_shapes_match_dense_reference():
 def loop_product(a, b):
     zero = a.field.zero
     return [
-        [sum((a.data[i][k] * b.data[k][j] for k in range(a.ncols)), zero) for j in range(b.ncols)]
+        canon(a.field, [sum((a.data[i][k] * b.data[k][j] for k in range(a.ncols)), zero) for j in range(b.ncols)])
         for i in range(a.nrows)
     ]
 
@@ -441,10 +459,10 @@ def test_operations_on_zero_shapes_match_the_loop_reference(operands, exponent):
     product = a * c
     assert (_shape(product), product.data) == ((n, c.ncols), loop_product(a, c))
     total = a + b
-    sums = [[x + y for x, y in zip(r, t)] for r, t in zip(a.data, b.data)]
+    sums = [canon(field, [x + y for x, y in zip(r, t)]) for r, t in zip(a.data, b.data)]
     assert (_shape(total), total.data) == ((n, k), sums)
     scaled = a.scale(scalar)
-    assert (_shape(scaled), scaled.data) == ((n, k), [[scalar * x for x in r] for r in a.data])
+    assert (_shape(scaled), scaled.data) == ((n, k), [canon(field, [scalar * x for x in r]) for r in a.data])
     flipped = a.transpose()
     assert (_shape(flipped), flipped.data) == ((k, n), [[r[j] for r in a.data] for j in range(k)])
     powered = s.power(exponent)
@@ -645,3 +663,205 @@ def test_hom_basis_maps_own_their_rows(data):
         for v, m in f.mats.items():
             rest = [mm for w, mm in f.mats.items() if w != v]
             _assert_owns_its_rows(m, *x.mats.values(), *y.mats.values(), *others, *rest)
+
+
+# -- F_p elements are canonical ints ----------------------------------------
+#
+# Every zero test reads an element as it is, so an unreduced residue such as
+# -1 or p would pass for nonzero, or p for a second nonzero value.  Each
+# result over F_p must hold ints in 0..p-1, and equal a reference computed
+# with Fractions and reduced mod p: ring operations reduce once at the end,
+# elimination after each step, as division mod p needs.
+
+PRIME_FIELDS = [PrimeField(p) for p in (2, 3, 5, 7, 32003)]
+
+
+def _residue(field, x):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+
+def _residues(field, rows):
+    return [[_residue(field, a) for a in row] for row in rows]
+
+
+def _canonical(field, rows):
+    return all(type(a) is int and 0 <= a < field.p for row in rows for a in row)
+
+
+def _fraction_product(a, b):
+    return [
+        [sum((Fraction(a.data[i][k]) * b.data[k][j] for k in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def fraction_rref(m):
+    """(rows, pivots) of the RREF of m over F_p, in Fraction arithmetic with
+    every new entry reduced mod p."""
+    field = m.field
+    data = [list(row) for row in m.data]
+    pivots, r = [], 0
+    for c in range(m.ncols):
+        pr = next((i for i in range(r, m.nrows) if data[i][c]), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        pivot = data[r][c]
+        data[r] = [_residue(field, Fraction(a) / pivot) for a in data[r]]
+        for i in range(m.nrows):
+            if i != r and data[i][c]:
+                f = data[i][c]
+                data[i] = [_residue(field, a - f * b) for a, b in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return data, pivots
+
+
+@st.composite
+def prime_field_operands(draw):
+    """(field, a, b, c, s, scalar, vec): a and b n x k, c k x l, s n x n,
+    vec of length k, entries in 0..p-1, zero often."""
+    field = draw(st.sampled_from(PRIME_FIELDS))
+    n, k, l = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def element():
+        return draw(st.one_of(st.just(0), st.just(field.p - 1), st.integers(0, field.p - 1)))
+
+    def matrix(nrows, ncols):
+        return Matrix(nrows, ncols, [[element() for _ in range(ncols)] for _ in range(nrows)], field)
+
+    return (field, matrix(n, k), matrix(n, k), matrix(k, l), matrix(n, n), element(),
+            [element() for _ in range(k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_field_operands(), st.integers(0, 3))
+def test_prime_field_results_are_canonical_ints(operands, exponent):
+    field, a, b, c, s, scalar, vec = operands
+    ring = {
+        "*": (a * c, _fraction_product(a, c)),
+        "+": (a + b, [[Fraction(x) + y for x, y in zip(r, t)] for r, t in zip(a.data, b.data)]),
+        "-": (a - b, [[Fraction(x) - y for x, y in zip(r, t)] for r, t in zip(a.data, b.data)]),
+        "scale": (a.scale(scalar), [[Fraction(scalar) * x for x in r] for r in a.data]),
+        "transpose": (a.transpose(), [[Fraction(r[j]) for r in a.data] for j in range(a.ncols)]),
+        "apply": (Matrix.adopt(1, a.nrows, [a.apply(vec)], field),
+                  [[sum((Fraction(x) * y for x, y in zip(r, vec)), Fraction(0)) for r in a.data]]),
+    }
+    power = [[Fraction(i == j) for j in range(s.ncols)] for i in range(s.nrows)]
+    for _ in range(exponent):
+        power = _residues(field, _fraction_product(Matrix(s.nrows, s.ncols, power), s))
+    ring["power"] = (s.power(exponent), power)
+    for name, (result, reference) in ring.items():
+        assert _canonical(field, result.data), name
+        assert result.data == _residues(field, reference), name
+
+    red, pivots = rref(a)
+    assert _canonical(field, red.data)
+    assert (red.data, pivots) == fraction_rref(a)
+
+    basis = kernel_basis(a)
+    assert _canonical(field, basis)
+    expected = []
+    for fc in (j for j in range(a.ncols) if j not in pivots):
+        v = [0] * a.ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = _residue(field, -red.data[i][fc])
+        expected.append(v)
+    assert basis == expected
+    for v in basis:
+        assert not any(_residues(field, _fraction_product(a, Matrix(a.ncols, 1, [[x] for x in v])))[i][0]
+                       for i in range(a.nrows))
+
+    consistent = a.apply(vec)
+    arbitrary = [row[0] if row else 1 for row in b.data]
+    for rhs in (consistent, arbitrary):
+        x = solve(a, rhs)
+        aug = Matrix(a.nrows, a.ncols + 1, [row + [t] for row, t in zip(a.data, rhs)], field)
+        assert (x is None) == (a.ncols in fraction_rref(aug)[1])
+        assert x is None or (_canonical(field, [x]) and a.apply(x) == rhs)
+    assert solve(a, consistent) is not None
+
+    space = RowSpace(a.ncols, field=field)
+    for row in a.data + b.data:
+        space.add(row)
+    ref_rows, ref_pivots = fraction_rref(Matrix(2 * a.nrows, a.ncols, a.data + b.data, field))
+    assert (space.rows, space.pivots) == (ref_rows[: len(ref_pivots)], ref_pivots)
+    assert _canonical(field, space.rows)
+    residue = space.reduce(vec)
+    reference = [Fraction(t) for t in vec]
+    for row, p in zip(space.rows, space.pivots):
+        reference = [t - Fraction(vec[p]) * u for t, u in zip(reference, row)]
+    assert _canonical(field, [residue]) and residue == _residues(field, [reference])[0]
+    coords = space.project(vec)
+    assert _canonical(field, [coords]) and coords == [residue[i] for i in space.complement()]
+
+
+# fixtures that knit over every prime tried, and the knit paths whose
+# scalars come from relations with coefficients other than 1
+CANONICAL_KNITS = ["a3_line.alg", "b_a3.alg", "cycle4_rad2.alg", "D4", "SQUARE", "E6 01001"]
+
+
+@pytest.mark.parametrize("field", ["F 2", "F 3", "F 32003"])
+@pytest.mark.parametrize("label", CANONICAL_KNITS)
+def test_knits_over_prime_fields_hold_canonical_ints(label, field):
+    from arquiver.algebra import build_basis, parse_presentation
+    from arquiver.knitting import knit
+    from arquiver.modules import almost_split_sequence
+    from tests.conftest import FIXTURES
+
+    if label.endswith(".alg"):
+        text = (FIXTURES / label).read_text().replace("field Q", f"field {field}", 1)
+    else:
+        text = _text(f"{label} {field}")
+    alg = build_basis(parse_presentation(text))
+    f = alg.field
+    assert f.char and alg.dim
+    assert _canonical(f, [[c for c, _p in r.terms] for r in alg.presentation.relations])
+    assert _canonical(f, [[c for entry in row for _k, c in entry] for row in alg.table])
+    arq = knit(alg)
+    for vert in arq.vertices.values():
+        for m in vert.module.mats.values():
+            assert _canonical(f, m.data), vert.name
+    for maps in arq.arrow_maps.values():
+        for g in maps:
+            for m in g.mats.values():
+                assert _canonical(f, m.data)
+    # the maps of each almost split sequence, whose left map is read off a
+    # cokernel projection
+    for vert in arq.vertices.values():
+        if not vert.is_projective:
+            seq = almost_split_sequence(vert.module)
+            for g in (seq.left, seq.right):
+                for m in g.mats.values():
+                    assert _canonical(f, m.data), vert.name
+
+
+@functools.cache
+def _prime_field_hom_pairs():
+    """Pairs of indecomposables over D4 and SQUARE over F_3 and F_32003."""
+    from arquiver.algebra import build_basis, parse_presentation
+    from arquiver.knitting import knit
+
+    pairs = []
+    for label in ("D4 F 3", "D4 F 32003", "SQUARE F 3", "SQUARE F 32003"):
+        mods = [v.module for v in knit(build_basis(parse_presentation(_text(label)))).vertices.values()]
+        pairs += [(x, y) for x in mods for y in mods]
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_hom_space_coordinates_over_prime_fields_are_canonical(data):
+    # a combination with large coefficients sums past p in the flat vector
+    from arquiver.modules import HomSpace
+
+    x, y = data.draw(st.sampled_from(_prime_field_hom_pairs()))
+    hs, p = HomSpace(x, y), x.field.p
+    c = [data.draw(st.one_of(st.just(p - 1), st.integers(0, p - 1))) for _ in range(hs.dim)]
+    f = hs.from_coords(c)
+    assert all(_canonical(x.field, m.data) for m in f.mats.values())
+    assert hs.coords(f) == c
