@@ -10,7 +10,7 @@ from arquiver.errors import (
     NonSplitEndomorphismRing,
     UnsupportedRadicalComputation,
 )
-from arquiver.linalg import QQ, Matrix, PrimeField
+from arquiver.linalg import QQ, Matrix, PrimeField, canonical
 from arquiver.structure import (
     StructureAlgebra,
     block_count,
@@ -216,12 +216,7 @@ def _times(field, f, g):
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] = out[i + j] + a * b
-    return _canonical(field, out)
-
-
-def _canonical(field, values):
-    """The list ``values`` reduced mod p over F_p, as the field holds it."""
-    return [a % field.char for a in values] if field.char else values
+    return canonical(out, field.char)
 
 
 @st.composite
@@ -237,7 +232,7 @@ def split_polynomials(draw):
         poly = _times(field, poly, [field.from_int(c) for c in f])
     scales = [c for c in (_in_field(field, t) for t in _SCALES) if c]
     scale = draw(st.sampled_from(scales))
-    return _canonical(field, [scale * c for c in poly]), field
+    return canonical([scale * c for c in poly], field.char), field
 
 
 def _described(result):
