@@ -448,6 +448,9 @@ PINNED_KNITS = {
     "E6 01001 F 3": ("848653a67ffef6bd", "46fea4d2d16a9779"),
     "SQUARE F 3": ("a4fdf71f9df42295", "120225db6071c8bc"),
     "D4 F 5": ("5f1bcd82d2344dda", "9dd836c2b25b86c7"),
+    "D4 F 2": ("5f612825d0d80536", "9dd836c2b25b86c7"),
+    "D7 000101 F 13": ("8dd4968d533531a6", "710f4881a6ba5683"),
+    "E6 01001 F 17": ("5a2124d582ce7a78", "46fea4d2d16a9779"),
     "cycle12": ("05c041f97fbd97c7", "78f633ba4a90bddc"),
 }
 
