@@ -631,19 +631,32 @@ def is_isomorphic(x, y):
     )
 
 
-def _fitting_split(m, phi):
+def _fitting_split(m, phi, end_dim):
     """The pieces of M = ker phi^n (+) im phi^n, n = dim M (Fitting's lemma),
-    each decomposed further, with inclusions into M."""
+    each decomposed further, with inclusions into M; end_dim = dim End(M).
+
+    End(K) (+) End(I) embeds in End(M) for M = K (+) I, so dim End(K) is at
+    most end_dim - 1 and dim End(I) at most end_dim - dim End(K).
+    """
     power = phi.power(m.total_dim)
     kernel = {v: kernel_basis(power.mats[v]) for v in m.dims}
     image = {v: power.mats[v].transpose().data for v in m.dims}
     if not any(kernel.values()) or power.is_zero():
         raise InternalError("Fitting summands do not split the module")
     out = []
+    bound = end_dim - 1
     for cols in (kernel, image):
         sub, inc = submodule_from_columns(m, cols)
-        out.extend((piece, inc.compose(j)) for piece, j in decompose_with_inclusions(sub))
+        basis = _end_basis(sub, bound)
+        out.extend((piece, inc.compose(j)) for piece, j in _split_by_basis(sub, basis))
+        bound = end_dim - len(basis)
     return out
+
+
+def _end_basis(m, bound):
+    """A basis of End(M) for a nonzero M with dim End(M) <= bound.  At bound
+    1, End(M) = k is spanned by the identity and is not solved."""
+    return [ModuleMap.identity(m)] if bound == 1 else hom_basis(m, m)
 
 
 def _split_by_basis(m, basis):
@@ -659,8 +672,12 @@ def _split_by_basis(m, basis):
        trace form is nondegenerate, so such a pair exists.
     4. Otherwise some basis map has no eigenvalue in the field and no map
        tried splits M; over Q no method is complete here (Ronyai 1990).
+
+    A basis of one map spans End(M) = k, and M is indecomposable.
     """
     one = ModuleMap.identity(m)
+    if len(basis) == 1:
+        return [(m, one)]
     verts = [v for v, d in m.dims.items() if d]
     nilpotent = []
     for b in basis:
@@ -668,7 +685,7 @@ def _split_by_basis(m, basis):
         if eig:
             shifted = b.add(one.scale(-eig[0]))
             if len(eig) > 1 or rootless:
-                return _fitting_split(m, shifted)
+                return _fitting_split(m, shifted, len(basis))
             nilpotent.append(shifted)
     if end_radical_coords(m, basis) is not None:
         return [(m, one)]
@@ -676,7 +693,7 @@ def _split_by_basis(m, basis):
         for nj in nilpotent:
             phi = ni.compose(nj)
             if not phi.power(m.total_dim).is_zero():
-                return _fitting_split(m, phi)
+                return _fitting_split(m, phi, len(basis))
     raise NonSplitEndomorphismRing(
         "a basis endomorphism has no eigenvalue in the ground field, "
         "and none splits the module"
@@ -693,10 +710,7 @@ def decompose_with_inclusions(m):
     """
     if m.total_dim == 0:
         return []
-    basis = hom_basis(m, m)
-    if len(basis) == 1:
-        return [(m, ModuleMap.identity(m))]
-    return _split_by_basis(m, basis)
+    return _split_by_basis(m, hom_basis(m, m))
 
 
 def decompose(m):

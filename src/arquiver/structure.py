@@ -1,13 +1,16 @@
 """Polynomial roots, and abstract algebras given by structure constants.
 
-Production code uses only ``matrix_min_poly``, ``rational_roots`` and the
-F_p root finder ``_fp_roots``, for the eigenvalues of
-``modules._eigenvalues``.  ``StructureAlgebra`` and what builds on it is a
-trace-form reference that no command reaches; tests use it as an
+Production code uses only ``matrix_min_poly`` and ``rational_roots``, for
+the eigenvalues of ``modules._eigenvalues``.  ``rational_roots`` reads the
+roots of a polynomial of degree 1 or 2 off the formula, with an exact
+square root; a higher degree goes to the F_p root finder ``_fp_roots`` or
+to the rational root theorem.  ``StructureAlgebra`` and what builds on it
+is a trace-form reference that no command reaches; tests use it as an
 independent oracle for End(M).  Its radical is exact in characteristic 0
 and over F_p once p exceeds the dimension; a smaller p is refused.
 """
 
+from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import (
@@ -82,15 +85,23 @@ def rational_roots(p, field=QQ):
     """All roots of p lying in the ground field, with multiplicities.
 
     Returns (roots, residual_degree) where roots is a list of
-    (root, multiplicity) and residual_degree is the degree left after
-    stripping every in-field linear factor.  A non-root of p divides no
-    quotient of p, so one pass over the ascending candidates suffices.
+    (root, multiplicity), zero first and then ascending, and
+    residual_degree is the degree left after stripping every in-field
+    linear factor.  The candidates come from ``_low_degree_roots`` up to
+    degree 2, and from ``_fp_roots`` or ``_rational_candidates`` above it.
+    A non-root of p divides no quotient of p, so one pass over the
+    ascending candidates suffices.
     """
     p = poly_normalize(p, field)
     if poly_degree(p) == 0:
         return [], 0
     roots = []
-    candidates = _fp_roots(p, field) if field.char else _rational_candidates(p, field)
+    if poly_degree(p) <= 2:
+        candidates = _low_degree_roots(p, field)
+    elif field.char:
+        candidates = _fp_roots(p, field)
+    else:
+        candidates = _rational_candidates(p, field)
     for lam in candidates:
         mult = 0
         while poly_degree(p) > 0:
@@ -102,6 +113,69 @@ def rational_roots(p, field=QQ):
         if mult:
             roots.append((lam, mult))
     return roots, poly_degree(p)
+
+
+def _low_degree_roots(p, field):
+    """The distinct roots in the field of p of degree 1 or 2, zero first,
+    then ascending: -c0/c1, or (-b +- sqrt(D))/2a with D = b^2 - 4ac and
+    the square root exact (``_square_root``).  Over Q the coefficients are
+    cleared of denominators first, and an integral root is an ``int``.
+    Over F_2, where 2a = 0, both elements are tried."""
+    char = field.char
+    if char == 2:
+        return [v for v in (0, 1) if not poly_eval(p, v, field)]
+    if not char:
+        scale = lcm(*(c.denominator for c in p))
+        p = [int(c * scale) for c in p]
+    if len(p) == 2:
+        tops, den = [-p[0]], p[1]
+    else:
+        c, b, a = p
+        s = _square_root(b * b - 4 * a * c, char)
+        if s is None:
+            return []
+        tops, den = [-b - s, -b + s], 2 * a
+    if char:
+        r = field.inv(den % char)
+        roots = {t * r % char for t in tops}
+    else:
+        roots = {Fraction(t, den) for t in tops}
+        roots = {x.numerator if x.denominator == 1 else x for x in roots}
+    return sorted(roots, key=lambda lam: (lam != 0, lam))
+
+
+def _square_root(d, char):
+    """A square root of the integer d in Z when char is 0, or in F_p for an
+    odd prime p = char, or None when there is none.
+
+    Over Z, ``isqrt``.  Over F_p, Euler's criterion decides, and
+    Tonelli-Shanks finds the root: with p - 1 = q 2^e, q odd, and z a
+    non-square, r = d^((q+1)/2) and t = d^q satisfy r^2 = t d, and each
+    step multiplies r by a power of z^q that halves the order of t.
+    """
+    if not char:
+        s = isqrt(d) if d >= 0 else 0
+        return s if s * s == d else None
+    d %= char
+    if not d:
+        return 0
+    if pow(d, (char - 1) // 2, char) != 1:
+        return None
+    q, e = char - 1, 0
+    while not q & 1:
+        q, e = q >> 1, e + 1
+    z = 2
+    while pow(z, (char - 1) // 2, char) == 1:
+        z += 1
+    c, t, r = pow(z, q, char), pow(d, q, char), pow(d, (q + 1) // 2, char)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % char, i + 1
+        b = pow(c, 1 << (e - i - 1), char)
+        e, c = i, b * b % char
+        t, r = t * c % char, r * b % char
+    return r
 
 
 def _rational_candidates(p, field):

@@ -36,7 +36,7 @@ from arquiver.cli import main
 from arquiver.errors import ArquiverError
 from arquiver.knitting import knit
 
-FIELDS = ["Q", "F 2", "F 3", "F 5", "F 7"]
+FIELDS = ["Q", "F 2", "F 3", "F 5", "F 7", "F 17"]
 SCALARS = ["1000000007/999983", "1/2", "1", "-1", "2", "-3"]
 LIMITS = ["--max-dim", "16", "--max-vertices", "80", "--cap", "20000"]
 COMMANDS = [["algebra", "check"], ["tilted", "certify", *LIMITS], ["cut", "enumerate", *LIMITS]]

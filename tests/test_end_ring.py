@@ -7,12 +7,14 @@ regular representation, valid over Q; it is the reference for
 the vertex counts of Gabriel's theorem.
 """
 
+import itertools
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from arquiver import modules
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.cli import main
 from arquiver.errors import NonSplitEndomorphismRing
@@ -158,3 +160,37 @@ def test_fitting_split_puts_the_first_eigenvalue_first(alg_a2):
     assert first.mats["a"] == Matrix.identity(1) and first.mats["b"].is_zero()
     pieces = decompose_with_inclusions(total)
     assert [piece.dim_vector for piece, _inc in pieces] == [s_b.dim_vector, s_a.dim_vector]
+
+
+def _solved_ends(monkeypatch):
+    """The modules whose End ``hom_basis`` solves from now on."""
+    solved = []
+    real = modules.hom_basis
+
+    def recording(x, y):
+        if x is y:
+            solved.append(x)
+        return real(x, y)
+
+    monkeypatch.setattr(modules, "hom_basis", recording)
+    return solved
+
+
+def test_a_fitting_piece_whose_end_is_bounded_by_one_is_not_solved(alg_a2, monkeypatch):
+    # End(S_a + S_b) = k x k: End(K) + End(I) embeds in it, so each piece
+    # has End = k, and only End of the sum is solved
+    total = direct_sum([simple_module(alg_a2, "a"), simple_module(alg_a2, "b")])
+    solved = _solved_ends(monkeypatch)
+    pieces = decompose_with_inclusions(total)
+    assert solved == [total]
+    assert [len(hom_basis(piece, piece)) for piece, _inc in pieces] == [1, 1]
+
+
+def test_bounded_fitting_pieces_are_indecomposable(arq_a3line):
+    # sums of three A3 indecomposables, repeats allowed: End of a sum has
+    # matrix blocks, so some pieces get a bound above 1 and must be split
+    mods = [arq_a3line.module_of(name) for name in sorted(arq_a3line.vertices)]
+    for summands in itertools.combinations_with_replacement(mods, 3):
+        pieces = decompose_with_inclusions(direct_sum(list(summands)))
+        assert sorted(p.dim_vector for p, _inc in pieces) == sorted(m.dim_vector for m in summands)
+        assert all(len(hom_basis(p, p)) == 1 for p, _inc in pieces)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -121,6 +122,23 @@ def test_rational_roots_of_a_large_fraction():
     assert [type(x) for x, _m in roots] == [int, int, F]
 
 
+def test_rational_roots_of_quadratics_with_huge_coefficients():
+    # the formula needs no factoring: trial division up to the square root
+    # of these coefficients would take hours
+    r = F(100000000000000000039, 999983)
+    roots, residual = rational_roots([-2 * r, 2 - r, F(1)])  # (x - r)(x + 2)
+    assert (roots, residual) == ([(-2, 1), (r, 1)], 0)
+    assert [type(x) for x, _m in roots] == [int, F]
+    big = 10**40 + 1
+    assert rational_roots([big * big, -2 * big, 1]) == ([(big, 2)], 0)
+    assert type(rational_roots([big * big, -2 * big, 1])[0][0][0]) is int
+    # x^2 - 2 (10^40 + 1)^2: an integer discriminant that is no square
+    assert rational_roots([-2 * big * big, 0, 1]) == ([], 2)
+    # (x - 1/3)(x - 2/3) scaled by -9/7: both roots fractions
+    roots, residual = rational_roots([F(-2, 7), F(9, 7), F(-9, 7)])
+    assert (roots, residual) == ([(F(1, 3), 1), (F(2, 3), 1)], 0)
+
+
 def _scan_roots(poly, field):
     """Roots over F_p found by evaluating at every element of the field."""
     roots = []
@@ -146,7 +164,7 @@ def _from_roots(field, roots, cofactor=None):
     return poly
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 97, 101])
 def test_rational_roots_over_fp_match_a_scan(p):
     field = PrimeField(p)
     rng = random.Random(p)
@@ -161,6 +179,17 @@ def test_rational_roots_over_fp_match_a_scan(p):
         if poly_degree(poly_normalize(poly, field)) == 0:
             continue
         assert rational_roots(poly, field) == _scan_roots(poly_normalize(poly, field), field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17])
+def test_every_linear_and_quadratic_polynomial_over_fp_matches_a_scan(p):
+    # the formula's branches: F_2 tries both elements, and Tonelli-Shanks
+    # runs with p - 1 = q 2^e for e = 1 (p = 3), 2 (5, 13) and 4 (17)
+    field = PrimeField(p)
+    for coeffs in itertools.product(range(p), repeat=3):
+        poly = poly_normalize(list(coeffs), field)
+        if poly_degree(poly) > 0:
+            assert rational_roots(poly, field) == _scan_roots(poly, field), coeffs
 
 
 def test_rational_roots_over_large_prime_from_known_factors():
@@ -180,7 +209,7 @@ def test_rational_roots_over_large_prime_from_known_factors():
         assert left == residual
 
 
-_ROOT_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 5, 7, 32003)]
+_ROOT_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 5, 7, 17, 32003)]
 _ROOT_VALUES = ["0", "1", "-1", "2", "-3", "1/2", "-2/3"]
 _SCALES = ["1", "-1", "2", "-3/2", "5/7"]
 # monic quadratics and cubics, low degree first; each field uses the ones
