@@ -322,6 +322,17 @@ class AlgebraBasis:
                     out[k] = out[k] + xi * yj * c
         return canonical(out, self.field.char)
 
+    def basis_product(self, i, terms, left):
+        """b_i.x when ``left`` is true and x.b_i otherwise, for basis path i
+        and the element x given by its nonzero terms ``(j, x_j)``: row i (or
+        column i) of ``table`` applied to those terms."""
+        out = self.zero_element()
+        table = self.table
+        for j, xj in terms:
+            for k, c in table[i][j] if left else table[j][i]:
+                out[k] = out[k] + xj * c
+        return canonical(out, self.field.char)
+
     def element_label(self, x):
         """Readable form of a coordinate vector, for reports."""
         parts = []

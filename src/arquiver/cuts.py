@@ -652,7 +652,8 @@ def present_quotient(alg, ideal_rows):
         else:
             vec = alg.basis_element(alg.arrow_index(p.arrows[-1]))
             for lab in reversed(p.arrows[:-1]):
-                vec = alg.multiply(alg.basis_element(alg.arrow_index(lab)), vec)
+                terms = [(j, c) for j, c in enumerate(vec) if c]
+                vec = alg.basis_product(alg.arrow_index(lab), terms, True)
         eval_cols.append(span.project(vec))
     eval_mat = Matrix(
         dim_b, len(paths), [[eval_cols[j][i] for j in range(len(paths))] for i in range(dim_b)], field

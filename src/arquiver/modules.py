@@ -891,13 +891,16 @@ def annihilator(mods):
     gens = kernel_basis(_action_rows(mods))
     # two-sidedness check: the kernel must be closed under both actions of
     # the generators of A, the vertices and the arrows (basis paths of
-    # length at most 1), so under every product of them
+    # length at most 1), so under every product of them; a zero product
+    # lies in every span, so only the nonzero ones are tested
     span = RowSpace(alg.dim, gens, field=field)
-    generators = [alg.basis_element(i) for i, p in enumerate(alg.basis) if p.length <= 1]
+    generators = [i for i, p in enumerate(alg.basis) if p.length <= 1]
     for g in gens:
-        for b in generators:
-            if not span.contains(alg.multiply(b, g)) or not span.contains(alg.multiply(g, b)):
-                raise PreconditionError("annihilator failed the two-sided ideal check")
+        terms = [(j, c) for j, c in enumerate(g) if c]
+        for i in generators:
+            for prod in (alg.basis_product(i, terms, True), alg.basis_product(i, terms, False)):
+                if any(prod) and not span.contains(prod):
+                    raise PreconditionError("annihilator failed the two-sided ideal check")
     return gens
 
 

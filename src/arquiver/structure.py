@@ -59,26 +59,32 @@ def poly_divide_linear(p, lam, field=QQ):
 
 
 def matrix_min_poly(m):
-    """Monic minimal polynomial of a square matrix, exactly."""
+    """Monic minimal polynomial of a square matrix, exactly.
+
+    Each power M^k, flattened and followed by the unit vector of x^k, is
+    reduced against the rows of the earlier powers, so the tail of a
+    reduced row is the combination of powers its head is.  The first power
+    whose head reduces to zero is M^k less a combination of I, ..., M^(k-1),
+    and the tail is that monic polynomial; it has least degree because the
+    earlier powers are independent.  One elimination serves every power.
+    """
     n = m.nrows
     field = m.field
     if n == 0:
         return [field.one]
+    size = n * n
+    powers = RowSpace(size + n + 1, field=field)
     power = Matrix.identity(n, field)
-    vecs = []
-    while True:
-        v = [power.data[i][j] for i in range(n) for j in range(n)]
-        if vecs:
-            cols = Matrix(len(v), len(vecs), [[vec[i] for vec in vecs] for i in range(len(v))], field)
-            sol = solve(cols, v)
-            if sol is not None:
-                # power k = sum sol_i * power_i  ->  x^k - sum sol_i x^i
-                poly = canonical([-c for c in sol], field.char) + [field.one]
-                return poly_normalize(poly, field)
-        vecs.append(v)
+    # Cayley-Hamilton: some power up to M^n depends on the earlier ones
+    for k in range(n + 1):
+        tail = [field.zero] * (n + 1)
+        tail[k] = field.one
+        row = powers.reduce([a for r in power.data for a in r] + tail)
+        if not any(row[:size]):
+            return poly_normalize(row[size:], field)
+        powers.add(row)
         power = power * m
-        if len(vecs) > n + 1:
-            raise InternalError("minimal polynomial search did not terminate")
+    raise InternalError("minimal polynomial search did not terminate")
 
 
 def rational_roots(p, field=QQ):

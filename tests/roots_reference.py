@@ -1,13 +1,18 @@
-"""``rational_roots`` as it was before both fields shared one pass: the
-oracle that ``structure.rational_roots`` is compared against.
+"""Reference versions of the eigenvalue helpers of ``structure``.
 
-Over Q it strips the zero roots, lists the candidates p/q of the rational
-root theorem for what is left, divides out the first candidate that is a
-root and starts again on the quotient.  Over F_p it divides out each root
-that ``_fp_roots`` finds.
+``reference_rational_roots`` is ``rational_roots`` as it was before both
+fields shared one pass.  Over Q it strips the zero roots, lists the
+candidates p/q of the rational root theorem for what is left, divides out
+the first candidate that is a root and starts again on the quotient.  Over
+F_p it divides out each root that ``_fp_roots`` finds.
+
+``reference_matrix_min_poly`` is ``matrix_min_poly`` as it was before one
+elimination served every power: it solves a fresh linear system for each
+power M^k in the earlier powers.
 """
 
-from arquiver.linalg import QQ
+from arquiver.errors import InternalError
+from arquiver.linalg import QQ, Matrix, canonical, solve
 from arquiver.structure import (
     _fp_roots,
     poly_degree,
@@ -15,6 +20,29 @@ from arquiver.structure import (
     poly_eval,
     poly_normalize,
 )
+
+
+def reference_matrix_min_poly(m):
+    """Monic minimal polynomial of a square matrix, one solve per power."""
+    n = m.nrows
+    field = m.field
+    if n == 0:
+        return [field.one]
+    power = Matrix.identity(n, field)
+    vecs = []
+    while True:
+        v = [power.data[i][j] for i in range(n) for j in range(n)]
+        if vecs:
+            cols = Matrix(len(v), len(vecs), [[vec[i] for vec in vecs] for i in range(len(v))], field)
+            sol = solve(cols, v)
+            if sol is not None:
+                # power k = sum sol_i * power_i  ->  x^k - sum sol_i x^i
+                poly = canonical([-c for c in sol], field.char) + [field.one]
+                return poly_normalize(poly, field)
+        vecs.append(v)
+        power = power * m
+        if len(vecs) > n + 1:
+            raise InternalError("minimal polynomial search did not terminate")
 
 
 def reference_rational_roots(p, field=QQ):

@@ -1,13 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from arquiver import modules
 from arquiver.algebra import build_basis, parse_presentation
-from arquiver.cuts import quotient_by_cut
+from arquiver.cuts import hom_tau_conflict, iter_cuts, quotient_by_cut
 from arquiver.errors import DimensionError, PreconditionError
 from arquiver.knitting import knit
-from arquiver.linalg import Matrix, RowSpace
+from arquiver.linalg import Matrix, RowSpace, kernel_basis
 from arquiver.modules import (
     HomSpace,
     Module,
@@ -39,7 +40,7 @@ from arquiver.modules import (
     translate,
     zero_module,
 )
-from tests.conftest import load_algebra
+from tests.conftest import FIXTURES, load_algebra
 from tests.test_knitting import cycle_text
 from tests.test_prime_field import CYCLE4_F5
 
@@ -409,6 +410,65 @@ def test_annihilator_refuses_a_one_sided_ideal(monkeypatch, alg_a3line, side):
     monkeypatch.setattr(modules, "kernel_basis", lambda m: [list(r) for r in ideal.rows])
     with pytest.raises(PreconditionError, match="^annihilator failed the two-sided ideal check$"):
         annihilator([simple_module(alg, "a")])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_annihilator_refuses_a_one_sided_ideal_over_f3(monkeypatch, side):
+    # the same one-sided ideals over F_3, where each product is reduced mod 3
+    text = (FIXTURES / "a3_line.alg").read_text().replace("field Q", "field F 3")
+    alg = build_basis(parse_presentation(text))
+    assert alg.field.char == 3
+    test_annihilator_refuses_a_one_sided_ideal(monkeypatch, alg, side)
+
+
+def test_annihilator_reads_products_off_the_table(monkeypatch, alg_cycle4, c4):
+    mods = [c4["P"]["b"], c4["S"]["b"], c4["P"]["d"]]
+    gens = kernel_basis(modules._action_rows(mods))
+    units = [alg_cycle4.basis_element(i) for i, p in enumerate(alg_cycle4.basis) if p.length <= 1]
+    products = [alg_cycle4.multiply(b, g) for g in gens for b in units]
+    products += [alg_cycle4.multiply(g, b) for g in gens for b in units]
+    nonzero = [v for v in products if any(v)]
+    assert 0 < len(nonzero) < len(products)
+    multiplied, asked = [], []
+    contains = RowSpace.contains
+    monkeypatch.setattr(type(alg_cycle4), "multiply", lambda a, x, y: multiplied.append((x, y)))
+    monkeypatch.setattr(RowSpace, "contains", lambda s, v: asked.append(list(v)) or contains(s, v))
+    assert annihilator(mods) == gens
+    assert multiplied == []
+    assert sorted(asked) == sorted(nonzero)
+
+
+def _reference_annihilator(mods):
+    """``annihilator`` with its two-sided check as it was: each generator is
+    multiplied by the unit vector of each vertex and arrow with the dense
+    ``multiply``, and every product, zero or not, is tested for membership."""
+    alg = mods[0].alg
+    gens = kernel_basis(modules._action_rows(mods))
+    span = RowSpace(alg.dim, gens, field=alg.field)
+    units = [alg.basis_element(i) for i, p in enumerate(alg.basis) if p.length <= 1]
+    for g in gens:
+        for b in units:
+            if not span.contains(alg.multiply(b, g)) or not span.contains(alg.multiply(g, b)):
+                raise PreconditionError("annihilator failed the two-sided ideal check")
+    return gens
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ((FIXTURES / "cycle3_rad2.alg").read_text(), None),
+        ((FIXTURES / "cycle4_rad2.alg").read_text(), None),
+        (cycle_text(12), 20),
+    ],
+    ids=["cycle3", "cycle4", "cycle12"],
+)
+def test_annihilator_matches_the_dense_check_on_hom_vanishing_cuts(text, count):
+    arq = knit(build_basis(parse_presentation(text)))
+    cuts = list(itertools.islice(iter_cuts(arq, conflict=hom_tau_conflict(arq)), count))
+    assert cuts and (count is None or len(cuts) == count)
+    for cut in cuts:
+        mods = [arq.module_of(n) for n in sorted(cut)]
+        assert annihilator(mods) == _reference_annihilator(mods)
 
 
 def test_sincere_faithful(alg_cycle3, alg_cycle4, c4):

@@ -26,7 +26,7 @@ from arquiver.structure import (
     rational_roots,
     split_commutative_semisimple,
 )
-from tests.roots_reference import reference_rational_roots
+from tests.roots_reference import reference_matrix_min_poly, reference_rational_roots
 
 F = Fraction
 
@@ -290,6 +290,66 @@ def test_matrix_min_poly_nilpotent():
 def test_matrix_min_poly_diagonal():
     m = Matrix(2, 2, [[F(2), F(0)], [F(0), F(2)]])
     assert matrix_min_poly(m) == [F(-2), F(1)]
+
+
+_MIN_POLY_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+_MIN_POLY_KINDS = ["random", "zero", "identity", "scalar", "nilpotent", "triangular", "repeated block"]
+
+
+@st.composite
+def square_matrices(draw):
+    """(kind, matrix) of size 0-6 over Q, F_2, F_3 or F_32003."""
+    field = draw(st.sampled_from(_MIN_POLY_FIELDS))
+    kind = draw(st.sampled_from(_MIN_POLY_KINDS))
+    n = draw(st.integers(0, 6))
+    entries = st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-3, 2)] if field is QQ else range(-3, 4))
+
+    def value(x):
+        return x if field is QQ else x % field.char
+
+    def grid(size, keep):
+        return [
+            [value(draw(entries)) if keep(i, j) else field.zero for j in range(size)]
+            for i in range(size)
+        ]
+
+    if kind == "random":
+        data = grid(n, lambda i, j: True)
+    elif kind in ("zero", "identity", "scalar"):
+        c = {"zero": 0, "identity": 1, "scalar": draw(entries)}[kind]
+        data = [[value(c) if i == j else field.zero for j in range(n)] for i in range(n)]
+    elif kind == "nilpotent":
+        data = grid(n, lambda i, j: i < j)
+    elif kind == "triangular":
+        # few distinct diagonal entries, so roots repeat and Jordan blocks appear
+        diagonal = [value(draw(st.sampled_from([0, 1, 2]))) for _ in range(n)]
+        data = grid(n, lambda i, j: i < j)
+        for i in range(n):
+            data[i][i] = diagonal[i]
+    else:
+        half = n // 2
+        block = grid(half, lambda i, j: True)
+        data = [[field.zero] * n for _ in range(n)]
+        for i in range(half):
+            for j in range(half):
+                data[i][j] = data[half + i][half + j] = block[i][j]
+        if n % 2:
+            data[n - 1][n - 1] = block[0][0] if half else value(draw(entries))
+    return kind, Matrix(n, n, data, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_matrix_min_poly_matches_one_solve_per_power(case):
+    _kind, m = case
+    field = m.field
+    poly = matrix_min_poly(m)
+    assert poly == reference_matrix_min_poly(m)
+    assert poly[-1] == field.one
+    value = Matrix.zeros(m.nrows, m.ncols, field)
+    for k, c in enumerate(poly):
+        value = value + m.power(k).scale(c)
+    assert value.is_zero()
 
 
 def test_structure_algebra_rejects_non_associative():
