@@ -273,3 +273,35 @@ def test_path_ordering_dataclass():
     p = Path(1, ("x",), "a", "b")
     q = Path(2, ("x", "y"), "a", "b")
     assert p < q
+
+
+SQUARE_WITH_SCALAR = """
+field {field}
+vertex a
+vertex b
+vertex c
+vertex d
+arrow x: a -> b
+arrow y: b -> d
+arrow z: a -> c
+arrow w: c -> d
+arrow v: d -> a
+relation y*x - 3*w*z
+relation v*y
+relation z*v
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F 5"])
+def test_basis_product_is_the_dense_product_with_a_unit_vector(field):
+    alg = build_basis(parse_presentation(SQUARE_WITH_SCALAR.format(field=field)))
+    assert any(c != 1 for row in alg.table for entry in row for _k, c in entry)
+    coeffs = [0, 1, 2, 4, -3] if field == "Q" else [0, 1, 2, 4, 3]
+    elements = [[coeffs[(i * j + i + j) % 5] for j in range(alg.dim)] for i in range(alg.dim)]
+    elements += [alg.basis_element(i) for i in range(alg.dim)]
+    for x in elements:
+        terms = [(j, c) for j, c in enumerate(x) if c]
+        for i in range(alg.dim):
+            b = alg.basis_element(i)
+            assert alg.basis_product(i, terms, True) == alg.multiply(b, x)
+            assert alg.basis_product(i, terms, False) == alg.multiply(x, b)

@@ -20,12 +20,21 @@ over Q and over ``F 32003``.  The indecomposables of a representation-finite
 algebra, and so its AR quiver, do not change with the field here: whenever
 both runs finish, the ``tilted certify`` verdict, the ``ar build`` vertex
 count and flags, and ``combinatorial_data`` must agree.
+
+The renaming oracle gives every vertex and arrow a new name and lists the
+vertex, arrow and relation lines in a new order.  That changes the basis
+order and the order in which the knit meets the modules, but not the
+algebra: whenever both runs finish, the ``tilted certify`` verdict, the
+``ar build`` vertex count, and the multiset of each AR vertex's flags
+together with its dimension vector, read as {vertex: dim} through the
+renaming, must agree.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import re
 import tempfile
 
 from hypothesis import given, settings
@@ -123,9 +132,9 @@ def test_cli_exits_cleanly_on_finite_presentations(text):
                 assert err == "", (command, text, err)
 
 
-def _outcome(text):
-    """(certify verdict, ar build vertices with flags, combinatorial_data),
-    or None when either command stops on a limit or refuses the algebra."""
+def _certify_and_build(text):
+    """(``tilted certify`` verdict, ``ar build`` report), or None when either
+    command stops on a limit or refuses the algebra."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fuzz.alg"
         path.write_text(text)
@@ -136,7 +145,17 @@ def _outcome(text):
         code, out, _err = _run(["ar", "build", str(path), *LIMITS[:4]])
         if code != 0:
             return None
-    flags = [(v["projective"], v["injective"]) for v in json.loads(out)["ar_quiver"]["vertices"]]
+    return verdict, json.loads(out)
+
+
+def _outcome(text):
+    """(certify verdict, ar build vertices with flags, combinatorial_data),
+    or None when either command stops on a limit or refuses the algebra."""
+    ran = _certify_and_build(text)
+    if ran is None:
+        return None
+    verdict, report = ran
+    flags = [(v["projective"], v["injective"]) for v in report["ar_quiver"]["vertices"]]
     try:
         data = knit(build_basis(parse_presentation(text)), max_vertices=80, max_dim=16).combinatorial_data()
     except ArquiverError:
@@ -152,3 +171,50 @@ def test_q_and_a_large_prime_field_agree(text):
     over_p = _outcome(text.replace("field Q", "field F 32003", 1))
     if over_q is not None and over_p is not None:
         assert over_q == over_p, text
+
+
+@st.composite
+def renamed_presentations(draw):
+    """(text, renamed text, renaming): the renamed text gives every vertex
+    and arrow a new name, in a new order, and lists the vertex, arrow and
+    relation lines in a new order."""
+    text = draw(presentations())
+    field, *body = text.splitlines()
+    groups = [[line for line in body if line.startswith(kind)] for kind in ("vertex", "arrow", "relation")]
+    rest = [line for line in body if not line.startswith(("vertex", "arrow", "relation"))]
+    renaming = {}
+    for prefix, new, lines in (("v", "w", groups[0]), ("a", "b", groups[1])):
+        order = draw(st.permutations(range(len(lines))))
+        renaming.update({f"{prefix}{i}": f"{new}{k}" for i, k in enumerate(order)})
+
+    def rename(line):
+        return re.sub(r"\b[va]\d+\b", lambda m: renaming[m.group()], line)
+
+    lines = [field]
+    for group in groups:
+        lines += [rename(line) for line in draw(st.permutations(group))]
+    return text, "\n".join(lines + rest) + "\n", renaming
+
+
+def _vertex_shapes(report, renaming):
+    """The (projective, injective) flags and the dimension vector, as sorted
+    (vertex, dim) pairs with each vertex renamed, of every AR vertex."""
+    names = [renaming.get(v, v) for v in report["algebra"]["vertices"]]
+    return sorted(
+        ((v["projective"], v["injective"]), sorted(zip(names, v["dim_vector"])))
+        for v in report["ar_quiver"]["vertices"]
+    )
+
+
+@settings(max_examples=40, deadline=60_000)
+@given(renamed_presentations())
+def test_renaming_and_reordering_change_no_answer(case):
+    text, renamed_text, renaming = case
+    original = _certify_and_build(text)
+    renamed = _certify_and_build(renamed_text)
+    if original is None or renamed is None:
+        return
+    (verdict, report), (renamed_verdict, renamed_report) = original, renamed
+    assert verdict == renamed_verdict, (text, renamed_text)
+    # equal multisets: the same vertex count, flags and dimension vectors
+    assert _vertex_shapes(report, renaming) == _vertex_shapes(renamed_report, {}), (text, renamed_text)
