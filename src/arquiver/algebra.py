@@ -309,19 +309,6 @@ class AlgebraBasis:
     def arrow_index(self, label):
         return self._arrow_index[label]
 
-    def multiply(self, x, y):
-        """Product of two coordinate vectors, in normal form."""
-        out = self.zero_element()
-        y_terms = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in y_terms:
-                for k, c in row[j]:
-                    out[k] = out[k] + xi * yj * c
-        return canonical(out, self.field.char)
-
     def basis_product(self, i, terms, left):
         """b_i.x when ``left`` is true and x.b_i otherwise, for basis path i
         and the element x given by its nonzero terms ``(j, x_j)``: row i (or

@@ -225,25 +225,6 @@ def is_slice_section(arq, cut):
     return SliceSectionResult(_convex_in_ind(arq, cut), section)
 
 
-def slice_by_definition(arq, cut):
-    """The literal slice axioms, used as an independent oracle."""
-    arq.require_modules("the literal slice definition")
-    cut = set(cut)
-    if not is_sincere([arq.module_of(n) for n in sorted(cut)]):
-        return False
-    if not _convex_in_ind(arq, cut):
-        return False
-    for x in cut:
-        if arq.tau.get(x) in cut:
-            return False
-    for (x, y) in arq.arrows:
-        if y in cut:
-            tx = arq.tau_inv.get(x)
-            if x not in cut and (tx is None or tx not in cut):
-                return False
-    return True
-
-
 def iter_cuts(arq, cap=DEFAULT_CAP, conflict=None):
     """Nonempty cuts, one at a time, by backtracking with constraint
     propagation; the vertices are decided in ``arq.names()`` order, chosen

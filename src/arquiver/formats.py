@@ -65,27 +65,6 @@ def parse_translation_quiver(text):
     return abstract_quiver(vertex_specs, arrow_specs, tau_pairs)
 
 
-def export_translation_quiver(arq):
-    lines = []
-    for name in sorted(arq.vertices):
-        v = arq.vertices[name]
-        flags = []
-        if v.is_projective:
-            flags.append("proj")
-        if v.is_injective:
-            flags.append("inj")
-        if v.boundary:
-            flags.append("boundary")
-        lines.append(" ".join(["vertex", name] + flags))
-    for (s, t) in sorted(arq.arrows):
-        m = arq.arrows[(s, t)]
-        suffix = f" {m}" if m > 1 else ""
-        lines.append(f"arrow {s} -> {t}{suffix}")
-    for x in sorted(arq.tau):
-        lines.append(f"tau {x} = {arq.tau[x]}")
-    return "\n".join(lines) + "\n"
-
-
 # -- algebra files -----------------------------------------------------------
 
 
@@ -119,6 +98,12 @@ def emit_algebra_file(presentation):
 # -- DOT ----------------------------------------------------------------------
 
 
+def _dot_id(name):
+    """``name`` as a quoted DOT ID: a vertex name of a translation-quiver
+    file is any token without spaces, so ``\\`` and ``"`` are escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(arq):
     """Deterministic DOT text: solid arrows, dashed translation edges,
     shape-coded projectives and injectives."""
@@ -137,13 +122,13 @@ def export_dot(arq):
         if v.dim_vector is not None:
             dv = ",".join(str(d) for d in v.dim_vector)
             attrs.append(f'tooltip="({dv})"')
-        lines.append(f'  "{name}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot_id(name)} [{", ".join(attrs)}];')
     for (s, t) in sorted(arq.arrows):
         m = arq.arrows[(s, t)]
         label = f' [label="{m}"]' if m > 1 else ""
-        lines.append(f'  "{s}" -> "{t}"{label};')
+        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)}{label};")
     for x in sorted(arq.tau):
-        lines.append(f'  "{x}" -> "{arq.tau[x]}" [style=dashed, constraint=false];')
+        lines.append(f"  {_dot_id(x)} -> {_dot_id(arq.tau[x])} [style=dashed, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

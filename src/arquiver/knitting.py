@@ -117,9 +117,6 @@ class ARQuiver:
                 f"{what} needs a fully knitted quiver; this one is partial"
             )
 
-    def arrows_from(self, name):
-        return [(s, t) for (s, t) in self.arrows if s == name]
-
     def mult(self, src, tgt):
         return self.arrows.get((src, tgt), 0)
 
@@ -396,23 +393,6 @@ def path_classify(path, arq):
     if undecided:
         presectional = None
     return PathClassification(sectional, presectional)
-
-
-def simple_arrow_paths(arq, max_len):
-    """All arrow paths of length 1..max_len (vertex name sequences)."""
-    out = []
-    frontier = [[n] for n in arq.names()]
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for _s, t in arq.arrows_from(p[-1]):
-                q = p + [t]
-                nxt.append(q)
-                out.append(q)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
 
 
 # -- knitting ---------------------------------------------------------------

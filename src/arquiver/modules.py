@@ -286,11 +286,6 @@ def canonical_modules(alg):
     }
 
 
-def regular_module(alg):
-    mod, _ = projective_sum(alg, list(alg.quiver.vertices))
-    return mod
-
-
 def direct_sum(mods):
     """The direct sum of ``mods``, their blocks in list order."""
     if not mods:
@@ -413,15 +408,6 @@ def radical_subspaces(m):
 
 def radical_submodule(m):
     return submodule_from_columns(m, {v: s.rows for v, s in radical_subspaces(m).items()})
-
-
-def socle_submodule(m):
-    """soc M: joint kernel of all arrows out of each vertex."""
-    cols = {}
-    for v in m.alg.quiver.vertices:
-        stacked = [row for a in m.alg.quiver.by_source[v] for row in m.mats[a.label].data]
-        cols[v] = kernel_basis(Matrix(len(stacked), m.dims[v], stacked, m.field))
-    return submodule_from_columns(m, cols)
 
 
 # -- hom spaces ------------------------------------------------------------

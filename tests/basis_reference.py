@@ -6,11 +6,29 @@ the span of the ideal over all of them with the products u*r*v that fit
 under N, and accepts N once every length-N path lies in the span.  It then
 builds the span of I/rad^N in a second loop of its own, and reads the
 normal forms by reducing a dense unit vector per product of basis paths.
+
+``multiply`` is the dense product of two coordinate vectors of an
+``AlgebraBasis``, every term of x against every term of y, which the sparse
+``AlgebraBasis.basis_product`` is compared against.
 """
 
 from arquiver.algebra import AlgebraBasis, Path
 from arquiver.errors import InadmissibleIdeal, NotFiniteDimensional
-from arquiver.linalg import RowSpace
+from arquiver.linalg import RowSpace, canonical
+
+
+def multiply(alg, x, y):
+    """Product of two coordinate vectors, in normal form."""
+    out = alg.zero_element()
+    y_terms = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = alg.table[i]
+        for j, yj in y_terms:
+            for k, c in row[j]:
+                out[k] = out[k] + xi * yj * c
+    return canonical(out, alg.field.char)
 
 
 def reference_paths_up_to(quiver, max_len, path_cap=20000):

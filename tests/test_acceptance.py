@@ -15,13 +15,14 @@ from arquiver.cuts import (
     hom_tau_test,
     is_cut,
     quotient_by_cut,
-    slice_by_definition,
 )
 from arquiver.formats import emit_algebra_file, parse_translation_quiver, render_report
-from arquiver.knitting import knit, path_classify, rad_power_depth, simple_arrow_paths
+from arquiver.knitting import knit, path_classify, rad_power_depth
 from arquiver.linalg import RowSpace
 from arquiver.modules import is_isomorphic, sincere_faithful, translate
 from tests.conftest import FIXTURES
+from tests.test_cut_references import reference_slice_by_definition
+from tests.test_knitting import simple_arrow_paths
 
 DELTA4 = ["P_b", "S_b", "P_d"]
 DELTA3 = ["P_b", "S_b", "P_a"]
@@ -221,7 +222,7 @@ def test_criterion_9_slice_sets(arq_a2, arq_b):
         lemma_form = set()
         for r in range(1, len(names) + 1):
             for combo in itertools.combinations(names, r):
-                if slice_by_definition(arq, combo):
+                if reference_slice_by_definition(arq, combo):
                     literal.add(frozenset(combo))
                 ok, _ = is_cut(arq, combo)
                 if ok:

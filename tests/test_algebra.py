@@ -3,6 +3,7 @@ import pytest
 from arquiver.algebra import Arrow, Path, Quiver, _parse_relation_expr, build_basis, parse_presentation
 from arquiver.errors import InadmissibleIdeal, InputSyntaxError, NotFiniteDimensional
 from arquiver.linalg import QQ, PrimeField
+from tests.basis_reference import multiply
 from tests.conftest import FIXTURES
 
 
@@ -199,10 +200,10 @@ relation h*e
 
 def test_multiply_idempotents(alg_cycle4):
     ea = alg_cycle4.idempotent("a")
-    assert alg_cycle4.multiply(ea, ea) == ea
+    assert multiply(alg_cycle4, ea, ea) == ea
     eb = alg_cycle4.idempotent("b")
     zero = alg_cycle4.zero_element()
-    assert alg_cycle4.multiply(ea, eb) == zero
+    assert multiply(alg_cycle4, ea, eb) == zero
 
 
 def test_multiply_idempotent_with_arrow(alg_cycle4):
@@ -210,24 +211,24 @@ def test_multiply_idempotent_with_arrow(alg_cycle4):
     alpha = alg_cycle4.basis_element(alg_cycle4.arrow_index("alpha"))
     ec = alg_cycle4.idempotent("c")
     ea = alg_cycle4.idempotent("a")
-    assert alg_cycle4.multiply(ec, alpha) == alpha
-    assert alg_cycle4.multiply(alpha, ea) == alpha
-    assert alg_cycle4.multiply(ea, alpha) == alg_cycle4.zero_element()
+    assert multiply(alg_cycle4, ec, alpha) == alpha
+    assert multiply(alg_cycle4, alpha, ea) == alpha
+    assert multiply(alg_cycle4, ea, alpha) == alg_cycle4.zero_element()
 
 
 def test_multiply_beta_delta_vanishes_in_b(alg_b):
     beta = alg_b.basis_element(alg_b.arrow_index("beta"))
     delta = alg_b.basis_element(alg_b.arrow_index("delta"))
-    assert alg_b.multiply(beta, delta) == alg_b.zero_element()
-    assert alg_b.multiply(delta, beta) == alg_b.zero_element()
+    assert multiply(alg_b, beta, delta) == alg_b.zero_element()
+    assert multiply(alg_b, delta, beta) == alg_b.zero_element()
 
 
 def test_unit_acts_as_identity(alg_cycle4):
     one = alg_cycle4.unit()
     for i in range(alg_cycle4.dim):
         x = alg_cycle4.basis_element(i)
-        assert alg_cycle4.multiply(one, x) == x
-        assert alg_cycle4.multiply(x, one) == x
+        assert multiply(alg_cycle4, one, x) == x
+        assert multiply(alg_cycle4, x, one) == x
 
 
 def test_opposite_is_involutive(alg_cycle4):
@@ -303,5 +304,5 @@ def test_basis_product_is_the_dense_product_with_a_unit_vector(field):
         terms = [(j, c) for j, c in enumerate(x) if c]
         for i in range(alg.dim):
             b = alg.basis_element(i)
-            assert alg.basis_product(i, terms, True) == alg.multiply(b, x)
-            assert alg.basis_product(i, terms, False) == alg.multiply(x, b)
+            assert alg.basis_product(i, terms, True) == multiply(alg, b, x)
+            assert alg.basis_product(i, terms, False) == multiply(alg, x, b)

@@ -12,13 +12,13 @@ from arquiver.cuts import (
     is_cut,
     is_slice_section,
     quotient_by_cut,
-    slice_by_definition,
     tilting_crosscheck,
 )
 from arquiver.errors import CapExceeded, PreconditionError
 from arquiver.knitting import knit
 from arquiver.formats import parse_translation_quiver
 from arquiver.modules import sincere_faithful
+from tests.test_cut_references import reference_slice_by_definition
 
 DELTA4 = ["P_b", "S_b", "P_d"]
 DELTA3 = ["P_b", "S_b", "P_a"]
@@ -233,7 +233,7 @@ def test_lemma_slice_characterization(arq_a2, arq_b):
         names = arq.names()
         for r in range(1, len(names) + 1):
             for combo in itertools.combinations(names, r):
-                literal = slice_by_definition(arq, combo)
+                literal = reference_slice_by_definition(arq, combo)
                 ok, _ = is_cut(arq, combo)
                 mods = [arq.module_of(n) for n in combo]
                 sincere, _f = sincere_faithful(mods)
@@ -250,7 +250,7 @@ def test_slices_equal_certify_witness_filter(arq_a2, arq_b):
         names = arq.names()
         for r in range(1, len(names) + 1):
             for combo in itertools.combinations(names, r):
-                if slice_by_definition(arq, combo):
+                if reference_slice_by_definition(arq, combo):
                     slices.add(frozenset(combo))
         witnesses = set()
         for cut in enumerate_cuts(arq):

@@ -13,7 +13,6 @@ from arquiver.formats import (
     ar_quiver_report,
     emit_algebra_file,
     export_dot,
-    export_translation_quiver,
     is_algebra_file,
     parse_translation_quiver,
     render_report,
@@ -61,6 +60,29 @@ def test_is_algebra_file(tube_text):
 
 
 # -- translation-quiver round trips --------------------------------------------
+
+
+def export_translation_quiver(arq):
+    """Translation-quiver file text of ``arq``, sorted: the inverse that
+    ``parse_translation_quiver`` is checked against."""
+    lines = []
+    for name in sorted(arq.vertices):
+        v = arq.vertices[name]
+        flags = []
+        if v.is_projective:
+            flags.append("proj")
+        if v.is_injective:
+            flags.append("inj")
+        if v.boundary:
+            flags.append("boundary")
+        lines.append(" ".join(["vertex", name] + flags))
+    for (s, t) in sorted(arq.arrows):
+        m = arq.arrows[(s, t)]
+        suffix = f" {m}" if m > 1 else ""
+        lines.append(f"arrow {s} -> {t}{suffix}")
+    for x in sorted(arq.tau):
+        lines.append(f"tau {x} = {arq.tau[x]}")
+    return "\n".join(lines) + "\n"
 
 
 def test_translation_quiver_round_trip(arq_cycle4):
@@ -252,6 +274,25 @@ def test_cli_ar_dot(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert out_file.read_text().startswith("digraph")
+
+
+def test_cli_ar_dot_escapes_quotes_and_backslashes_in_names(tmp_path, capsys):
+    # a translation-quiver vertex name is any token without spaces
+    src = tmp_path / "names.tq"
+    src.write_text('vertex a"b proj\nvertex c\\ inj\narrow a"b -> c\\\ntau c\\ = a"b\n')
+    out_file = tmp_path / "names.dot"
+    rc = main(["ar", "dot", str(src), "--out", str(out_file)])
+    capsys.readouterr()
+    assert rc == 0
+    assert out_file.read_text() == (
+        "digraph ar_quiver {\n"
+        "  rankdir=LR;\n"
+        '  "a\\"b" [shape=box];\n'
+        '  "c\\\\" [shape=diamond];\n'
+        '  "a\\"b" -> "c\\\\";\n'
+        '  "c\\\\" -> "a\\"b" [style=dashed, constraint=false];\n'
+        "}\n"
+    )
 
 
 def test_cli_cut_check_positive(capsys):

@@ -14,7 +14,6 @@ from arquiver.knitting import (
     nonzero_path_exists,
     path_classify,
     rad_power_depth,
-    simple_arrow_paths,
     verify_mesh_invariants,
 )
 from arquiver.modules import (
@@ -26,8 +25,29 @@ from arquiver.modules import (
     is_isomorphic,
     translate,
 )
-from arquiver.structure import block_count
 from tests.conftest import FIXTURES
+from tests.structure_reference import block_count
+
+
+def arrows_from(arq, name):
+    return [(s, t) for (s, t) in arq.arrows if s == name]
+
+
+def simple_arrow_paths(arq, max_len):
+    """All arrow paths of length 1..max_len (vertex name sequences)."""
+    out = []
+    frontier = [[n] for n in arq.names()]
+    for _ in range(max_len):
+        nxt = []
+        for p in frontier:
+            for _s, t in arrows_from(arq, p[-1]):
+                q = p + [t]
+                nxt.append(q)
+                out.append(q)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
 
 
 def test_cycle4_knit(arq_cycle4):

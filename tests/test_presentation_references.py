@@ -36,6 +36,7 @@ from arquiver.modules import (
     transpose_module,
     zero_module,
 )
+from tests.basis_reference import multiply
 from tests.conftest import load_algebra
 from tests.test_almost_split import FIXTURE_FILES, TEXTS, regular_r
 
@@ -88,7 +89,7 @@ def reference_projective_hom(alg, src_verts, tgt_verts, amat):
                 for i in range(len(tgt_verts)):
                     if not any(amat[i][j]):
                         continue
-                    prod = alg.multiply(pvec, amat[i][j])
+                    prod = multiply(alg, pvec, amat[i][j])
                     off_i, ks_i = tgt_layout[i].get(w, (0, []))
                     pos = {kk: t for t, kk in enumerate(ks_i)}
                     for kk, c in enumerate(prod):

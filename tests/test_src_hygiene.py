@@ -10,6 +10,13 @@ marked.  A module-level function or class whose name starts with ``_`` is
 private to the package, so some module in it must read it (as a name or an
 attribute); one that none reads is a helper left behind.
 
+A public module-level function or class, and a public method of a
+module-level class (dunders are exempt, being private by name), is what the
+package ships, so something outside its own body must read it: a name, an
+attribute or an imported name, in the package (``__init__`` re-exports
+count) or in ``perfbench``.  Tests do not count; a routine that only tests
+read belongs under ``tests``.
+
 A parameter with a default is a knob: some call in ``src``, ``tests`` or
 ``perfbench`` must pass it, by keyword or by position, or its value is a
 constant.  Calls are matched to definitions by bare or attribute name, a
@@ -90,6 +97,51 @@ def unread_private_definitions(trees):
         for node in tree.body
         if isinstance(node, _SCOPES) and node.name.startswith("_")
         and not node.name.startswith("__") and node.name not in reads
+    ]
+
+
+def public_definitions(tree):
+    """(first line, last line, name) of each public module-level function or
+    class and each public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, _SCOPES):
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        out.extend(
+            (child.lineno, child.end_lineno, child.name)
+            for child in [node] + members
+            if isinstance(child, _SCOPES) and not child.name.startswith("_")
+        )
+    return out
+
+
+def read_sites(tree):
+    """(name, line) of each read in ``tree``: a loaded name or attribute, or
+    a name imported from a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unread_public_definitions(defining, reading):
+    """(module, line, name) of each public definition of ``defining`` (a dict
+    name -> ast) that no tree of ``reading`` (the same kind of dict) reads
+    outside the definition's own lines."""
+    sites = {}
+    for module, tree in reading.items():
+        for name, line in read_sites(tree):
+            sites.setdefault(name, []).append((module, line))
+    return [
+        (module, first, name)
+        for module, tree in defining.items()
+        for first, last, name in public_definitions(tree)
+        if all(m == module and first <= line <= last for m, line in sites.get(name, []))
     ]
 
 
@@ -201,6 +253,20 @@ def test_no_unread_private_definitions():
     assert unread_private_definitions(trees) == []
 
 
+def test_every_public_definition_is_read_outside_tests():
+    package = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    bench = {
+        f"perfbench/{path.relative_to(ROOT / 'perfbench')}": ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path)
+        )
+        for path in sorted((ROOT / "perfbench").rglob("*.py"))
+    }
+    assert unread_public_definitions(package, {**package, **bench}) == []
+
+
 def test_every_knob_is_set_somewhere():
     calls = calls_by_name(
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -243,6 +309,27 @@ def test_the_checks_see_what_they_look_for():
         "b.py": ast.parse("from a import _left\n_used()\nx = m._Attr\n"),
     }
     assert unread_private_definitions(trees) == [("a.py", 2, "_left"), ("a.py", 4, "_Dead")]
+    public = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class K:\n"
+            "    def method(self): pass\n"
+            "    def calls(self):\n"
+            "        return self.method()\n"
+            "    def __len__(self): return 0\n"
+            "    def _own(self): pass\n"
+            "def _private(): pass\n"
+            "def stored(): pass\n"
+        ),
+    }
+    reader = {"b.py": ast.parse("from a import used\nK.x = 1\nobj.stored = 2\n")}
+    assert unread_public_definitions(public, {**public, **reader}) == [
+        ("a.py", 2, "recursive"),
+        ("a.py", 6, "calls"),
+        ("a.py", 11, "stored"),
+    ]
     knobs = ast.parse(
         "def f(a, b=1, *, c=2, d=3): pass\n"
         "def g(x=0): pass\n"

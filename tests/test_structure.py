@@ -14,7 +14,6 @@ from arquiver.errors import (
 from arquiver.linalg import QQ, Matrix, PrimeField, canonical
 from arquiver.structure import (
     StructureAlgebra,
-    block_count,
     is_hereditary,
     lift_idempotent,
     matrix_min_poly,
@@ -27,6 +26,7 @@ from arquiver.structure import (
     split_commutative_semisimple,
 )
 from tests.roots_reference import reference_matrix_min_poly, reference_rational_roots
+from tests.structure_reference import block_count
 
 F = Fraction
 
