@@ -206,6 +206,9 @@ def reference_slice(arq, cut):
 
 
 def reference_slice_by_definition(arq, cut):
+    """The literal slice axioms: sincere, convex in ind A, no tau Y inside
+    for Y inside, and each arrow X -> Y into the cut starts at a vertex of
+    the cut or at one whose tau^- X is in it."""
     cut = set(cut)
     sincere, _ = sincere_faithful([arq.module_of(n) for n in sorted(cut)])
     if not sincere or not reference_convex_in_ind(arq, cut):
