@@ -429,7 +429,7 @@ def test_annihilator_reads_products_off_the_table(monkeypatch, alg_cycle4, c4):
     assert 0 < len(nonzero) < len(products)
     multiplied, asked = [], []
     contains = RowSpace.contains
-    # raising=False: the dense product is tests.basis_reference.multiply now
+    # raising=False: AlgebraBasis has no dense product; tests.basis_reference holds it
     monkeypatch.setattr(
         type(alg_cycle4), "multiply", lambda a, x, y: multiplied.append((x, y)), raising=False
     )

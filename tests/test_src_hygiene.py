@@ -259,9 +259,7 @@ def test_every_public_definition_is_read_outside_tests():
         for path in sorted(SRC.glob("*.py"))
     }
     bench = {
-        f"perfbench/{path.relative_to(ROOT / 'perfbench')}": ast.parse(
-            path.read_text(encoding="utf-8"), filename=str(path)
-        )
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted((ROOT / "perfbench").rglob("*.py"))
     }
     assert unread_public_definitions(package, {**package, **bench}) == []
