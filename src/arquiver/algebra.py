@@ -281,8 +281,11 @@ class AlgebraBasis:
         }
         # every arrow is a basis path: the ideal lies in the paths of length >= 2
         self._arrow_index = {p.arrows[0]: i for i, p in enumerate(basis) if p.length == 1}
-        # vertex -> (paths, Ae_v), filled by modules.projective_sum
+        # vertex -> (paths, Ae_v), filled by modules.projective_sum, and
+        # vertex tuple -> (sum of the Ae_v, layout), filled by the
+        # presentations in modules; both are only read
         self.projectives = {}
+        self.projective_sums = {}
         self._opposite = None
 
     # -- element helpers ------------------------------------------------

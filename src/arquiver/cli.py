@@ -6,7 +6,6 @@ limit.  Diagnostics go to stderr, reports to stdout or --out.
 """
 
 import argparse
-import re
 import sys
 
 from .algebra import build_basis, parse_presentation
@@ -26,6 +25,7 @@ from .formats import (
     is_algebra_file,
     parse_translation_quiver,
     render_report,
+    split_vertex_list,
 )
 from .knitting import DEFAULT_MAX_DIM, DEFAULT_MAX_VERTICES, knit
 
@@ -72,12 +72,8 @@ def _load_quiver(path, max_vertices, max_dim):
 
 
 def _vertex_names(arq, text):
-    """The vertex names of a ``--modules`` list.
-
-    Commas inside braces belong to a name, as in ``M{1,1,0,1}#1``; only the
-    commas outside braces separate names.
-    """
-    names = [n.strip() for n in re.split(r",(?![^{]*\})", text) if n.strip()]
+    """The vertex names of a ``--modules`` list, split by ``split_vertex_list``."""
+    names = split_vertex_list(text)
     unknown = [n for n in names if n not in arq.vertices]
     if unknown:
         raise InputSyntaxError(f"unknown module names: {', '.join(unknown)}")

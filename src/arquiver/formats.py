@@ -27,6 +27,16 @@ def is_algebra_file(text):
 
 _ARROW_RE = re.compile(r"(\S+)\s*->\s*(\S+)(?:\s+(\d+))?$")
 _TAU_RE = re.compile(r"(\S+)\s*=\s*(\S+)$")
+_LIST_COMMA = re.compile(r",(?![^{]*\})")
+
+
+def split_vertex_list(text):
+    """The names of a comma-separated vertex list such as ``--modules``.
+
+    Commas inside braces belong to a name, as in ``M{1,1,0,1}#1``; only the
+    commas outside braces separate names.
+    """
+    return [n.strip() for n in _LIST_COMMA.split(text) if n.strip()]
 
 
 def parse_translation_quiver(text):
@@ -45,6 +55,12 @@ def parse_translation_quiver(text):
             if not toks:
                 raise InputSyntaxError("vertex line without a name", line_no)
             name, flags = toks[0], set(toks[1:])
+            if split_vertex_list(name) != [name]:
+                raise InputSyntaxError(
+                    f"vertex name {name!r} has a comma outside braces, "
+                    "so no vertex list could name it",
+                    line_no,
+                )
             bad = flags - {"proj", "inj", "boundary"}
             if bad:
                 raise InputSyntaxError(f"unknown vertex flags {sorted(bad)}", line_no)

@@ -17,7 +17,6 @@ from .graph import components
 from .linalg import Matrix, RowSpace
 from .modules import (
     HomSpace,
-    ModuleMap,
     almost_split_sequence,
     canonical_modules,
     decompose_with_inclusions,
@@ -447,13 +446,14 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
     def get_or_add(module):
         """(name, iso): the vertex of ``module``, registered under a new name
         if it has none, and an isomorphism from the vertex module onto
-        ``module`` (the identity for a module registered here)."""
+        ``module``, or None for a module registered here, which is its own
+        vertex module."""
         if module.total_dim == 0:
             raise PreconditionError("attempted to register the zero module")
         name, iso = arq.find_vertex(module)
         if name is not None:
             return name, iso
-        return register(module), ModuleMap.identity(module)
+        return register(module), None
 
     # P_v and I_v come first, so a later module that matches no vertex is
     # neither projective nor injective.  They need no vertex search: the
@@ -473,11 +473,22 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         if v not in matched:
             register(cans[v][1], f"I_{v}", False, True)
 
-    def record_arrow(src, tgt, fmap):
-        """Record an irreducible map src -> tgt, ``fmap`` read on src's vertex module."""
-        self_key = (src, tgt)
-        arq.arrows[self_key] = arq.arrows.get(self_key, 0) + 1
-        arq.arrow_maps.setdefault(self_key, []).append(fmap)
+    def record_pieces(tgt, whole, fmap):
+        """Record an irreducible map into ``tgt`` from each indecomposable
+        summand of ``whole``, read off ``fmap``: whole -> tgt's module on the
+        summand's vertex module; returns the source names in summand order.
+        No map is composed with an identity: a ``whole`` that does not split
+        is its own summand, and a summand registered here its own vertex
+        module."""
+        sources = []
+        for piece, pinc in decompose_with_inclusions(whole):
+            src, iso = get_or_add(piece)
+            f = fmap if piece is whole else fmap.compose(pinc)
+            key = (src, tgt)
+            arq.arrows[key] = arq.arrows.get(key, 0) + 1
+            arq.arrow_maps.setdefault(key, []).append(f if iso is None else f.compose(iso))
+            sources.append(src)
+        return sources
 
     # Each translate is looked up once.  tau tau^-1 M = M and the vertices
     # are pairwise non-isomorphic, so a vertex V found as tau^-1 M has
@@ -492,18 +503,14 @@ def knit(alg, max_vertices=DEFAULT_MAX_VERTICES, max_dim=DEFAULT_MAX_DIM):
         if vert.is_projective:
             radp, incl = radical_submodule(module)
             if radp.total_dim:
-                for piece, pinc in decompose_with_inclusions(radp):
-                    src, iso = get_or_add(piece)
-                    record_arrow(src, name, incl.compose(pinc).compose(iso))
+                record_pieces(name, radp, incl)
         else:
             seq = almost_split_sequence(module)
             tau_name = tau_of.get(name) or get_or_add(seq.tau)[0]
             arq.tau[name] = tau_name
             tau_inv_found.add(tau_name)
             middle_counts = {}
-            for piece, pinc in decompose_with_inclusions(seq.middle):
-                src, iso = get_or_add(piece)
-                record_arrow(src, name, seq.right.compose(pinc).compose(iso))
+            for src in record_pieces(name, seq.middle, seq.right):
                 middle_counts[src] = middle_counts.get(src, 0) + 1
             arq.meshes[name] = MeshRecord(tau_name, sorted(middle_counts.items()))
         if not vert.is_injective and name not in tau_inv_found:

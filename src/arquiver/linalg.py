@@ -297,17 +297,26 @@ class Matrix:
         return all(not a for row in self.data for a in row)
 
     def power(self, n):
+        """M^n by repeated squaring, a matrix of its own: M^0 is the
+        identity, and the product starts from the first power of M it
+        needs, not from I.M, so M^1 is a copy of M."""
         if self.nrows != self.ncols:
             raise DimensionError("power of a non-square matrix")
         if not self.nrows:
             return _empty(0, 0, self.field)
-        result = Matrix.identity(self.nrows, self.field)
+        if n <= 0:
+            return Matrix.identity(self.nrows, self.field)
+        result = None
         base = self
-        while n > 0:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
+            if not n:
+                break
+            base = base * base
+        if result is self:
+            return Matrix.adopt(self.nrows, self.ncols, [list(row) for row in self.data], self.field)
         return result
 
 
@@ -395,9 +404,33 @@ def rref(m):
 
 
 def rank(m):
+    """The number of pivots ``rref`` finds, by forward elimination alone:
+    a pivot row is cleared from the rows below it and never from those
+    above, and no row is scaled.  A 1-row matrix is read directly."""
     if not m.nrows or not m.ncols:
         return 0
-    return len(rref(m)[1])
+    if m.nrows == 1:
+        return 1 if any(m.data[0]) else 0
+    data = [list(row) for row in m.data]
+    p = m.field.char
+    r = 0
+    for c in range(m.ncols):
+        for pr in range(r, m.nrows):
+            if data[pr][c]:
+                break
+        else:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        prow = data[r]
+        support = _support(prow, c)
+        inv = m.field.inv(prow[c])
+        for i in range(r + 1, m.nrows):
+            if data[i][c]:
+                _eliminate(data[i], data[i][c] * inv, prow, support, p)
+        r += 1
+        if r == m.nrows:
+            break
+    return r
 
 
 def kernel_basis(m):

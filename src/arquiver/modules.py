@@ -180,12 +180,6 @@ class ModuleMap:
                 out.extend(row)
         return out
 
-    def power(self, n):
-        if self.src is not self.tgt and self.src.dims != self.tgt.dims:
-            raise DimensionError("power of a non-endomorphism")
-        mats = {v: m.power(n) for v, m in _nonempty(self.mats)}
-        return ModuleMap(self.src, self.tgt, mats, check=False)
-
     def __repr__(self):
         return f"ModuleMap({self.src!r} -> {self.tgt!r})"
 
@@ -256,6 +250,17 @@ def projective_sum(alg, verts):
             offsets[w] += len(ks)
         layout.append(entry)
     return (direct_sum([mod for _paths, mod in pieces]) if pieces else zero_module(alg)), layout
+
+
+def _kept_projective_sum(alg, verts):
+    """``projective_sum(alg, verts)`` built once per algebra and vertex list
+    and kept, for the presentations: every caller shares the module and its
+    layout, so they are only read."""
+    key = tuple(verts)
+    kept = alg.projective_sums.get(key)
+    if kept is None:
+        kept = alg.projective_sums[key] = projective_sum(alg, verts)
+    return kept
 
 
 def projective_module(alg, v):
@@ -363,12 +368,15 @@ def cokernel_module(f):
     representatives at ``RowSpace.complement``.  The projection sends e_j
     to ``RowSpace.project(e_j)``, read off the RREF rows of the image: e_p
     maps to -row_p at the complement for the pivot p of row_p, and the
-    representative e_i to its class.
+    representative e_i to its class.  The arrow a of C is proj.M_a.sect,
+    and since the section is a 0/1 selection, that is the columns of
+    proj.M_a at the representatives.
     """
     m = f.tgt
     field = m.field
     proj = {}
     sect = {}
+    reps = {}
     for v in m.alg.quiver.vertices:
         if not m.dims[v]:
             continue
@@ -383,13 +391,14 @@ def cokernel_module(f):
         sm = Matrix.zeros(m.dims[v], len(rep), field)
         for j, i in enumerate(rep):
             sm.data[i][j] = field.one
-        proj[v], sect[v] = pm, sm
+        proj[v], sect[v], reps[v] = pm, sm, rep
     dims = {v: pm.nrows for v, pm in proj.items()}
-    mats = {
-        a.label: proj[a.target] * m.mats[a.label] * sect[a.source]
-        for a in m.alg.quiver.arrows.values()
-        if dims.get(a.target) and dims.get(a.source)
-    }
+    mats = {}
+    for a in m.alg.quiver.arrows.values():
+        if dims.get(a.target) and dims.get(a.source):
+            rep = reps[a.source]
+            rows = (proj[a.target] * m.mats[a.label]).data
+            mats[a.label] = Matrix.adopt(len(rows), len(rep), [[row[i] for i in rep] for row in rows], field)
     q = Module(m.alg, dims, mats, check=False)
     return q, ModuleMap(m, q, proj, check=False), sect
 
@@ -617,24 +626,37 @@ def is_isomorphic(x, y):
     )
 
 
+def _block_powers(phi):
+    """phi_v^(dim M_v) at each vertex v of the endomorphism phi of M.  The
+    kernels of the powers of phi_v grow, and their images shrink, only up
+    to k = dim M_v, so these blocks have the kernel and image of phi^n for
+    every n >= dim M, and phi is nilpotent iff they are all zero."""
+    return {v: b.power(b.nrows) for v, b in phi.mats.items()}
+
+
 def _fitting_split(m, phi, end_dim):
     """The pieces of M = ker phi^n (+) im phi^n, n = dim M (Fitting's lemma),
     each decomposed further, with inclusions into M; end_dim = dim End(M).
 
-    End(K) (+) End(I) embeds in End(M) for M = K (+) I, so dim End(K) is at
-    most end_dim - 1 and dim End(I) at most end_dim - dim End(K).
+    The kernel and image are read off ``_block_powers``, which span the
+    same subspaces as phi^n, so the RREF bases of the pieces are the same.
+    A piece that does not split keeps the inclusion ``submodule_from_columns``
+    gives it.  End(K) (+) End(I) embeds in End(M) for M = K (+) I, so dim
+    End(K) is at most end_dim - 1 and dim End(I) at most end_dim - dim End(K).
     """
-    power = phi.power(m.total_dim)
-    kernel = {v: kernel_basis(power.mats[v]) for v in m.dims}
-    image = {v: power.mats[v].transpose().data for v in m.dims}
-    if not any(kernel.values()) or power.is_zero():
+    power = _block_powers(phi)
+    kernel = {v: kernel_basis(b) for v, b in power.items()}
+    image = {v: b.transpose().data for v, b in power.items()}
+    if not any(kernel.values()) or all(b.is_zero() for b in power.values()):
         raise InternalError("Fitting summands do not split the module")
     out = []
     bound = end_dim - 1
     for cols in (kernel, image):
         sub, inc = submodule_from_columns(m, cols)
         basis = _end_basis(sub, bound)
-        out.extend((piece, inc.compose(j)) for piece, j in _split_by_basis(sub, basis))
+        out.extend(
+            (piece, inc if piece is sub else inc.compose(j)) for piece, j in _split_by_basis(sub, basis)
+        )
         bound = end_dim - len(basis)
     return out
 
@@ -678,7 +700,7 @@ def _split_by_basis(m, basis):
     for ni in nilpotent:
         for nj in nilpotent:
             phi = ni.compose(nj)
-            if not phi.power(m.total_dim).is_zero():
+            if not all(b.is_zero() for b in _block_powers(phi).values()):
                 return _fitting_split(m, phi, len(basis))
     raise NonSplitEndomorphismRing(
         "a basis endomorphism has no eigenvalue in the ground field, "
@@ -755,11 +777,13 @@ def _generator_maps(p, layout, y, image_sets):
 
 def projective_cover(m):
     """(P, epi, summand vertex list, layout) with kernel inside rad P; the
-    cover of the zero module is 0."""
+    cover of the zero module is 0.  P and its layout are the sum kept for
+    that vertex list (``_kept_projective_sum``), shared by every cover and
+    only read."""
     lifts = top_lifts(m)
     vertices = m.alg.quiver.vertices
     verts = [v for v in vertices for _u in lifts[v]]
-    cover, layout = projective_sum(m.alg, verts)
+    cover, layout = _kept_projective_sum(m.alg, verts)
     [epi] = _generator_maps(cover, layout, m, [[u for v in vertices for u in lifts[v]]])
     if epi.total_rank() != m.total_dim:
         raise PreconditionError("projective cover map is not surjective")
@@ -781,7 +805,9 @@ class MinPresentation:
 
 
 def min_presentation(m):
-    """Minimal projective presentation P1 -> P0 -> M -> 0."""
+    """Minimal projective presentation P1 -> P0 -> M -> 0.  P0 and P1 are
+    the projective covers' kept sums, shared with other presentations and
+    only read."""
     p0, epi, verts0, layout0 = projective_cover(m)
     ker, kappa = kernel_submodule(epi)
     p1, epi_k, verts1, layout1 = projective_cover(ker)
@@ -799,6 +825,7 @@ def transpose_module(pres):
     P1.  Those are the op paths v1_j -> v0_i, with the same basis indices in
     the same order.  The generator e_v of Ae_v is the first coordinate at v,
     as the shortest path v -> v, since basis indices ascend by length.
+    The two sums over A^op are the kept ones (``_kept_projective_sum``).
     """
     columns = [
         (v, [row[entry[v][0]] for row in pres.f.mats[v].data])
@@ -812,8 +839,8 @@ def transpose_module(pres):
             image.extend(column[off : off + len(ks)])
         images.append(image)
     op = pres.p0.alg.opposite()
-    p0_op, layout0_op = projective_sum(op, pres.verts0)
-    p1_op, _layout1_op = projective_sum(op, pres.verts1)
+    p0_op, layout0_op = _kept_projective_sum(op, pres.verts0)
+    p1_op, _layout1_op = _kept_projective_sum(op, pres.verts1)
     [fstar] = _generator_maps(p0_op, layout0_op, p1_op, [images])
     coker, _proj, _sect = cokernel_module(fstar)
     return coker

@@ -69,7 +69,8 @@ def matrix_min_poly(m):
     reduced row is the combination of powers its head is.  The first power
     whose head reduces to zero is M^k less a combination of I, ..., M^(k-1),
     and the tail is that monic polynomial; it has least degree because the
-    earlier powers are independent.  One elimination serves every power.
+    earlier powers are independent.  One elimination serves every power,
+    and the powers are I, M, M.M, ..., with no product by I.
     """
     n = m.nrows
     field = m.field
@@ -86,7 +87,7 @@ def matrix_min_poly(m):
         if not any(row[:size]):
             return poly_normalize(row[size:], field)
         powers.add(row)
-        power = power * m
+        power = m if k == 0 else power * m
     raise InternalError("minimal polynomial search did not terminate")
 
 

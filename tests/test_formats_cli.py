@@ -9,6 +9,7 @@ import pytest
 from arquiver.algebra import build_basis, parse_presentation
 from arquiver.cli import main
 from arquiver.cuts import certify_tilted, quotient_by_cut
+from arquiver.errors import InputSyntaxError
 from arquiver.formats import (
     ar_quiver_report,
     emit_algebra_file,
@@ -16,6 +17,7 @@ from arquiver.formats import (
     is_algebra_file,
     parse_translation_quiver,
     render_report,
+    split_vertex_list,
 )
 from tests.conftest import FIXTURES
 
@@ -295,6 +297,37 @@ def test_cli_ar_dot_escapes_quotes_and_backslashes_in_names(tmp_path, capsys):
     )
 
 
+def test_cli_refuses_a_translation_quiver_name_no_vertex_list_can_name(tmp_path, capsys):
+    # ``--modules`` splits on commas outside braces, so such a name could
+    # never be named there; the file is refused on its vertex line
+    src = tmp_path / "comma.tq"
+    src.write_text("vertex c inj\nvertex x,y proj\narrow x,y -> c\n")
+    rc = main(["cut", "check", str(src), "--modules", "x,y"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2: vertex name 'x,y' has a comma outside braces, "
+        "so no vertex list could name it\n"
+    )
+
+
+def test_cli_names_a_translation_quiver_vertex_with_commas_inside_braces(tmp_path, capsys):
+    src = tmp_path / "braces.tq"
+    src.write_text("vertex M{1,1} proj\nvertex c inj\narrow M{1,1} -> c\n")
+    rc = main(["cut", "check", str(src), "--modules", "M{1,1}"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["cut"] == ["M{1,1}"] and out["is_cut"] is True
+
+
+@pytest.mark.parametrize("text", ["x,y", ",x", "x,", "{a},b", "a{,}b,c"])
+def test_a_name_with_a_comma_outside_braces_is_refused_where_a_list_would_split_it(text):
+    assert split_vertex_list(text) != [text]
+    with pytest.raises(InputSyntaxError, match="line 1: vertex name"):
+        parse_translation_quiver(f"vertex {text}\n")
+
+
 def test_cli_cut_check_positive(capsys):
     rc = main(
         ["cut", "check", fixture_path("cycle4_rad2.alg"), "--modules", "P_b,S_b,P_d"]
@@ -514,12 +547,12 @@ def test_certificate_round_trip_is_byte_identical(alg_cycle4, arq_cycle4):
 
 
 def test_cli_internal_invariant_failure_is_a_clean_refusal(monkeypatch, capsys):
-    # a Fitting split that raises phi to the power 0 instead of dim M finds
-    # no kernel; that must end in one error line and exit code 2, not a
-    # traceback
+    # a Fitting split that raises each block of phi to the power 0 instead
+    # of its size finds no kernel; that must end in one error line and exit
+    # code 2, not a traceback
     import arquiver.modules as modules
 
-    monkeypatch.setattr(modules.ModuleMap, "power", lambda f, n: modules.ModuleMap.identity(f.src))
+    monkeypatch.setattr(modules, "_block_powers", lambda phi: {v: b.power(0) for v, b in phi.mats.items()})
     rc = main(["ar", "build", fixture_path("a3_line.alg")])
     captured = capsys.readouterr()
     assert rc == 2

@@ -528,3 +528,78 @@ def test_arrow_maps_and_meshes_are_pinned(label):
             assert f.src is arq.vertices[s].module
             assert f.tgt is arq.vertices[t].module
     assert _knit_digests(arq) == PINNED_KNITS[label]
+
+
+# -- the kept projective sums are only read -----------------------------------
+
+# the Dynkin orientations the benchmark knits and certifies
+# (``ORIENTATIONS`` in perfbench/workloads.py)
+BENCH_ORIENTATIONS = [
+    "A5 0110", "A5 1001", "A9 11011000", "A9 11100100", "D5 0001", "D5 0010",
+    "D7 000101", "D7 000110", "D8 0100010", "D8 0100001", "E6 01001", "E6 11011",
+    "E7 000111", "E7 110011", "E7 011111",
+]
+
+
+def _kept_sums_digest(algs):
+    """sha256 of every projective sum and every Ae_v kept by ``algs`` and
+    their opposites, keys and layouts included."""
+    digest = hashlib.sha256()
+    for alg in algs:
+        for a in (alg, alg.opposite()):
+            kept = [(repr(k), mod, paths) for k, (paths, mod) in a.projectives.items()]
+            kept += [(repr(k), mod, layout) for k, (mod, layout) in a.projective_sums.items()]
+            for key, mod, layout in sorted(kept, key=lambda entry: entry[0]):
+                digest.update(f"{key}|{mod.dims}|{layout}".encode())
+                for label, m in mod.mats.items():
+                    digest.update(f"{label}:{m.nrows}x{m.ncols}:{m.data}".encode())
+    return digest.hexdigest()
+
+
+def test_knits_only_read_the_kept_projective_sums():
+    from arquiver.modules import projective_sum
+
+    labels = ["a2.alg", "a3_line.alg", "b_a3.alg", "cycle3_rad2.alg", "cycle4_rad2.alg"]
+    algs = [build_basis(parse_presentation(_text(label))) for label in labels + BENCH_ORIENTATIONS]
+    for alg in algs:
+        knit(alg)
+    assert all(alg.projective_sums and alg.opposite().projective_sums for alg in algs)
+    before = _kept_sums_digest(algs)
+    for alg in algs:
+        knit(alg)
+    assert _kept_sums_digest(algs) == before
+    # and each kept sum is still the sum a fresh build gives
+    for alg in algs:
+        for a in (alg, alg.opposite()):
+            for verts, (mod, layout) in a.projective_sums.items():
+                fresh, fresh_layout = projective_sum(a, list(verts))
+                assert layout == fresh_layout
+                assert {k: m.data for k, m in mod.mats.items()} == {k: m.data for k, m in fresh.mats.items()}
+
+
+# -- a work budget that does not depend on the machine ------------------------
+
+# Matrix products and eliminations of the E7 110011 knit over Q, counted at
+# the change that took identity products, back-substituted ranks and rebuilt
+# projective sums off the knit (6473 and 2967 before it); a change that
+# brings such work back raises a count
+E7_KNIT_BUDGET = {"Matrix.__mul__": 3783, "rref": 1221}
+
+
+def test_the_e7_knit_stays_within_its_work_budget(monkeypatch):
+    from arquiver import linalg
+
+    counts = dict.fromkeys(E7_KNIT_BUDGET, 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg.Matrix, "__mul__", counted("Matrix.__mul__", linalg.Matrix.__mul__))
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    arq = knit(build_basis(parse_presentation(_text("E7 110011"))))
+    assert len(arq.vertices) == 63  # Gabriel
+    assert all(counts[name] <= budget for name, budget in E7_KNIT_BUDGET.items()), counts

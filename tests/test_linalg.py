@@ -865,3 +865,71 @@ def test_hom_space_coordinates_over_prime_fields_are_canonical(data):
     f = hs.from_coords(c)
     assert all(_canonical(x.field, m.data) for m in f.mats.values())
     assert hs.coords(f) == c
+
+
+# -- rank by forward elimination, powers from the operand ---------------------
+#
+# ``rank`` runs forward elimination only and reads a 1-row matrix directly,
+# and ``Matrix.power`` starts its product from the operand instead of I.M.
+# Each must answer what the full elimination and the n-fold product from I
+# answer, over Q and over the smallest, a small and a large prime.
+
+SHORTCUT_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+small_dims = st.one_of(st.just(0), st.just(1), st.integers(0, 6))
+
+
+def _element(draw, field):
+    if field is QQ:
+        return draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+    return field.from_int(draw(st.one_of(st.integers(0, 2), st.integers(0, field.p - 1))))
+
+
+@st.composite
+def shortcut_matrices(draw, square=False):
+    field = draw(st.sampled_from(SHORTCUT_FIELDS))
+    nrows = draw(small_dims)
+    ncols = nrows if square else draw(small_dims)
+    zero_share = draw(st.sampled_from([0.0, 0.4, 0.8]))
+    rows = [
+        [field.zero if draw(st.floats(0, 1)) < zero_share else _element(draw, field) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    # a repeated row lowers the rank
+    if nrows >= 2 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return Matrix(nrows, ncols, rows, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shortcut_matrices())
+def test_rank_is_the_pivot_count_of_rref(m):
+    before = [list(row) for row in m.data]
+    assert rank(m) == len(rref(m)[1])
+    assert m.data == before
+
+
+@pytest.mark.parametrize("field", SHORTCUT_FIELDS)
+def test_rank_of_the_shapes_it_reads_directly(field):
+    one = field.one
+    assert rank(Matrix.zeros(0, 3, field)) == rank(Matrix.zeros(3, 0, field)) == 0
+    assert rank(Matrix(1, 1, [[field.zero]], field)) == 0
+    assert rank(Matrix(1, 1, [[one]], field)) == 1
+    assert rank(Matrix(1, 3, [[field.zero, one, field.zero]], field)) == 1
+    assert rank(Matrix(1, 3, [[field.zero] * 3], field)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(shortcut_matrices(square=True))
+def test_power_is_the_n_fold_product_from_the_identity(s):
+    product = Matrix.identity(s.nrows, s.field)
+    for n in range(7):
+        powered = s.power(n)
+        assert (powered.nrows, powered.ncols, powered.data) == (s.nrows, s.ncols, product.data), n
+        product = product * s
+
+
+@settings(max_examples=100, deadline=None)
+@given(shortcut_matrices(square=True))
+def test_a_write_into_a_power_leaves_its_operand_unchanged(s):
+    for n in range(7):
+        _assert_owns_its_rows(s.power(n), s)
