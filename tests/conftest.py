@@ -9,6 +9,20 @@ from arquiver.knitting import knit
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "sweep: the full CLI sweep, run only with -m sweep")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the tests marked ``sweep`` unless the marker expression names it."""
+    if "sweep" in config.getoption("markexpr"):
+        return
+    skip = pytest.mark.skip(reason="the full CLI sweep runs with -m sweep")
+    for item in items:
+        if "sweep" in item.keywords:
+            item.add_marker(skip)
+
+
 def load_algebra(name):
     return build_basis(parse_presentation((FIXTURES / name).read_text()))
 
