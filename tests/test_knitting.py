@@ -245,6 +245,40 @@ def test_path_classify_without_the_mesh_arrow_is_not_presectional():
     assert path_classify(["a", "b", "c"], arq) == PathClassification(True, False)
 
 
+def test_path_classify_on_every_two_arrow_path_is_pinned(arq_cycle4):
+    # the tube with its row-3 translates dropped leaves tau unknown there
+    # (presectional None); the partial Kronecker knit has double arrows,
+    # and the 4-cycle paths that end at a projective, whose tau is zero
+    text = (FIXTURES / "tube_rank3.tq").read_text()
+    alg = build_basis(parse_presentation((FIXTURES / "kronecker.alg").read_text()))
+    with pytest.raises(LimitExceeded) as exc_info:
+        knit(alg, max_dim=16)
+    quivers = {
+        "tube": parse_translation_quiver(text),
+        "tube, row 3 untranslated": parse_translation_quiver(re.sub(r"^tau T3_.*\n", "", text, flags=re.M)),
+        "kronecker": exc_info.value.partial,
+        "cycle4": arq_cycle4,
+    }
+    pinned = {
+        "tube": ({(False, False): 24, (True, True): 18}, "478471d217c6e0fb"),
+        "tube, row 3 untranslated": (
+            {(False, False): 18, (True, None): 12, (True, True): 12}, "6505c6ae64063248"
+        ),
+        "kronecker": ({(False, True): 9}, "4003c7988db5ea77"),
+        "cycle4": ({(False, False): 4, (True, True): 4}, "2934bf64bcc8ef1a"),
+    }
+    for label, arq in quivers.items():
+        rows = [(p, path_classify(p, arq)) for p in simple_arrow_paths(arq, 2) if len(p) == 3]
+        counts = {}
+        for _p, cls in rows:
+            key = (cls.sectional, cls.presectional)
+            counts[key] = counts.get(key, 0) + 1
+        digest = hashlib.sha256(
+            repr([(p, cls.sectional, cls.presectional) for p, cls in rows]).encode()
+        ).hexdigest()[:16]
+        assert (counts, digest) == pinned[label], label
+
+
 def test_sectional_paths_of_d4_are_presectional():
     # imported here: tests.test_cut_references imports this module
     from tests.test_cut_references import dynkin_text
