@@ -369,3 +369,17 @@ def test_equivalence_suite_on_extra_algebras():
             assert fwd == bwd == conv.weakly_convex
             if fwd:
                 assert conv.acyclic
+
+
+def test_cut_check_reads_the_faithfulness_of_sincere_faithful(
+    arq_a2, arq_a3line, arq_b, arq_cycle3, arq_cycle4
+):
+    seen = set()
+    for arq in (arq_a2, arq_a3line, arq_b, arq_cycle3, arq_cycle4):
+        for cut in enumerate_cuts(arq):
+            analysis = cut_analysis(arq, cut)
+            flags = sincere_faithful([arq.module_of(n) for n in sorted(cut)])
+            assert (analysis["sincere"], analysis["faithful"]) == flags, sorted(cut)
+            seen.add(flags)
+    # every combination but faithful without sincere, which cannot occur
+    assert seen == {(False, False), (True, False), (True, True)}
