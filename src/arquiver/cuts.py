@@ -55,16 +55,18 @@ def _cut_conditions(arq):
 
     Condition 1: when X (the guard) is in the cut, exactly one of Y (the
     other) and tau Y (the translate) is.  Condition 2: when Y is in the cut,
-    exactly one of X and tau^- X is.  A zero translate is None; a condition
-    whose translate is not known yet, on a partial quiver, is left out.
+    exactly one of X and tau^- X is.  The translates are read off
+    ``arq.tau`` and one ``arq.tau_inv``.  A zero translate is None: tau of
+    a projective, tau^- of an injective.  A condition whose translate is not
+    known yet, on a partial quiver, is left out.
     """
+    inv = arq.tau_inv
     for (x, y) in sorted(arq.arrows):
-        for condition, guard, other, (status, t) in (
-            (1, x, y, arq.tau_status(y)),
-            (2, y, x, arq.tau_inv_status(x)),
-        ):
-            if status != "unknown":
-                yield (x, y), condition, guard, other, t
+        ty, tx = arq.tau.get(y), inv.get(x)
+        if ty is not None or arq.vertices[y].is_projective:
+            yield (x, y), 1, x, y, ty
+        if tx is not None or arq.vertices[x].is_injective:
+            yield (x, y), 2, y, x, tx
 
 
 def is_cut(arq, cut):
@@ -750,7 +752,7 @@ def cut_analysis(arq, cut):
         out["hom_tau"] = asdict(hom_tau_test(arq, cut))
         mods = [arq.module_of(n) for n in sorted(set(cut))]
         ann = annihilator(mods)
-        out["sincere"], out["faithful"] = sincere_faithful(mods)
+        out["sincere"], out["faithful"] = is_sincere(mods), not ann
         out["annihilator"] = {
             "dimension": len(ann),
             "generators": [arq.alg.element_label(g) for g in ann],

@@ -85,24 +85,6 @@ class ARQuiver:
     def tau_inv(self):
         return {w: x for x, w in self.tau.items()}
 
-    def tau_status(self, name):
-        """('value', target) | ('zero', None) | ('unknown', None)."""
-        if name in self.tau:
-            return "value", self.tau[name]
-        v = self.vertices[name]
-        if v.is_projective:
-            return "zero", None
-        return "unknown", None
-
-    def tau_inv_status(self, name):
-        inv = self.tau_inv
-        if name in inv:
-            return "value", inv[name]
-        v = self.vertices[name]
-        if v.is_injective:
-            return "zero", None
-        return "unknown", None
-
     def require_modules(self, what):
         if self.abstract:
             raise PreconditionError(
@@ -376,11 +358,10 @@ def path_classify(path, arq):
     presectional = True
     undecided = False
     for i in range(1, len(path) - 1):
-        status, tnext = arq.tau_status(path[i + 1])
-        if status == "unknown":
-            undecided = True
-            continue
-        if status == "zero":
+        tnext = arq.tau.get(path[i + 1])
+        if tnext is None:
+            # tau of a projective is zero; of another vertex, not known yet
+            undecided = undecided or not arq.vertices[path[i + 1]].is_projective
             continue
         # an irreducible map tau X_{i+1} (+) X_{i-1} -> X_i must exist
         if tnext == path[i - 1]:

@@ -361,21 +361,19 @@ def kernel_submodule(f):
 
 
 def cokernel_module(f):
-    """Cokernel of a map; returns (C, projection, section matrices at the
-    vertices where M is nonzero).
+    """Cokernel of a map; returns (C, projection, representatives).
 
-    C_v = M_v / im f_v, and the section picks the unit-vector coset
-    representatives at ``RowSpace.complement``.  The projection sends e_j
-    to ``RowSpace.project(e_j)``, read off the RREF rows of the image: e_p
-    maps to -row_p at the complement for the pivot p of row_p, and the
-    representative e_i to its class.  The arrow a of C is proj.M_a.sect,
-    and since the section is a 0/1 selection, that is the columns of
-    proj.M_a at the representatives.
+    C_v = M_v / im f_v, and ``reps[v]`` lists the coordinates of M_v whose
+    unit vectors are the coset representatives, ``RowSpace.complement`` of
+    the image, for each v where M is nonzero.  The projection sends e_j to
+    ``RowSpace.project(e_j)``, read off the RREF rows of the image: e_p maps
+    to -row_p at the representatives for the pivot p of row_p, and the
+    representative e_i to its class.  The arrow a of C is proj.M_a on the
+    representatives, that is, the columns of proj.M_a at ``reps``.
     """
     m = f.tgt
     field = m.field
     proj = {}
-    sect = {}
     reps = {}
     for v in m.alg.quiver.vertices:
         if not m.dims[v]:
@@ -388,10 +386,7 @@ def cokernel_module(f):
         for row, p in zip(image.rows, image.pivots):
             for r_i, i in enumerate(rep):
                 pm.data[r_i][p] = residue(-row[i], field.char)
-        sm = Matrix.zeros(m.dims[v], len(rep), field)
-        for j, i in enumerate(rep):
-            sm.data[i][j] = field.one
-        proj[v], sect[v], reps[v] = pm, sm, rep
+        proj[v], reps[v] = pm, rep
     dims = {v: pm.nrows for v, pm in proj.items()}
     mats = {}
     for a in m.alg.quiver.arrows.values():
@@ -400,7 +395,7 @@ def cokernel_module(f):
             rows = (proj[a.target] * m.mats[a.label]).data
             mats[a.label] = Matrix.adopt(len(rows), len(rep), [[row[i] for i in rep] for row in rows], field)
     q = Module(m.alg, dims, mats, check=False)
-    return q, ModuleMap(m, q, proj, check=False), sect
+    return q, ModuleMap(m, q, proj, check=False), reps
 
 
 def radical_subspaces(m):
@@ -537,24 +532,20 @@ def _eigenvalues(f, verts):
     return sorted(roots, key=lambda lam: (lam != 0, lam)), rootless
 
 
-def _combination(basis, coeffs):
-    out = ModuleMap.zero(basis[0].src, basis[0].tgt)
-    for b, c in zip(basis, coeffs):
-        if c:
-            out = out.add(b.scale(c))
-    return out
-
-
 def end_radical_coords(m, basis):
     """Coordinates (in the given End basis) of rad End(M) when End(M) is
     local with End/rad = k, and None otherwise.
 
     In such a ring every b is lambda(b) + (nilpotent), so rad is the kernel
-    of b -> lambda(b), read on the vertex where M is smallest but nonzero.
-    The candidate N is certified when M > N.M > N.N.M > ... reaches 0: then
-    N is nilpotent of codimension 1 without 1, so the non-units form N.
-    Were End(M) local with End/rad = k, Nakayama would make each step
-    shrink, so a step that does not shrink refutes it.
+    of b -> lambda(b), read on the vertex where M is smallest but nonzero;
+    the coordinates returned are ``kernel_basis`` of that row.  The candidate
+    N is spanned by the shifted maps b - lambda(b).1 over the basis: when
+    lambda(1) = 1 they span the kernel, and otherwise they hold a nonzero
+    multiple of 1, which no nilpotent N holds.  N is certified when
+    M > N.M > N.N.M > ... reaches 0: then N is nilpotent of codimension 1
+    without 1, so the non-units form N.  Were End(M) local with End/rad = k,
+    Nakayama would make each step shrink, so a step that does not shrink
+    refutes it.
     """
     if len(basis) == 1:
         return []       # End(M) = k, a field
@@ -567,8 +558,8 @@ def end_radical_coords(m, basis):
             return None
         lams.append(eig[0])
     field = m.field
-    rad = kernel_basis(Matrix(1, len(basis), [lams], field))
-    rad_maps = [_combination(basis, r) for r in rad]
+    one = ModuleMap.identity(m)
+    rad_maps = [b.add(one.scale(-lam)) if lam else b for b, lam in zip(basis, lams)]
     spaces = {w: Matrix.identity(d, field).data for w, d in sizes.items()}
     size = m.total_dim
     while size:
@@ -580,7 +571,7 @@ def end_radical_coords(m, basis):
         if shrunk >= size:
             return None
         size = shrunk
-    return rad
+    return kernel_basis(Matrix(1, len(basis), [lams], field))
 
 
 # -- isomorphism and decomposition -----------------------------------------
@@ -842,8 +833,7 @@ def transpose_module(pres):
     p0_op, layout0_op = _kept_projective_sum(op, pres.verts0)
     p1_op, _layout1_op = _kept_projective_sum(op, pres.verts1)
     [fstar] = _generator_maps(p0_op, layout0_op, p1_op, [images])
-    coker, _proj, _sect = cokernel_module(fstar)
-    return coker
+    return cokernel_module(fstar)[0]
 
 
 def translate(m, direction="forward"):
@@ -928,10 +918,11 @@ def sincere_faithful(mods):
     """(sincere, faithful) for the family of modules.
 
     Faithful means ann = 0, that is, the action rows have full column rank;
-    no annihilator is built.
+    no annihilator is built.  A faithful family is sincere, since e_v kills
+    every module with M_v = 0, so the rows are ranked only for a sincere one.
     """
     sincere = is_sincere(mods)
-    return sincere, rank(_action_rows(mods)) == mods[0].alg.dim
+    return sincere, sincere and rank(_action_rows(mods)) == mods[0].alg.dim
 
 
 def pdim_le_1(m):
@@ -1035,11 +1026,13 @@ def almost_split_sequence(m):
         rows = g.mats[v].scale(-1).data + kappa.mats[v].data
         h_mats[v] = Matrix(tau.dims[v] + pres.p0.dims[v], ker.dims[v], rows, m.field)
     h = ModuleMap(ker, total, h_mats, check=False)
-    middle, proj, sect = cokernel_module(h)
+    middle, proj, reps = cokernel_module(h)
     # left map: the tau columns of the projection; right map: induced by
-    # epi on the P0 rows of the section
+    # epi, so its columns are those of epi at the representatives in P0
+    # and zero at the representatives in tau
     left_mats = {}
     right_mats = {}
+    zero = m.field.zero
     for v in m.alg.quiver.vertices:
         if not middle.dims[v]:
             continue
@@ -1047,8 +1040,8 @@ def almost_split_sequence(m):
         if t:
             left_mats[v] = Matrix.adopt(middle.dims[v], t, [row[:t] for row in proj.mats[v].data], m.field)
         if m.dims[v]:
-            p0_rows = Matrix.adopt(pres.p0.dims[v], middle.dims[v], sect[v].data[t:], m.field)
-            right_mats[v] = pres.epi.mats[v] * p0_rows
+            cols = [[row[i - t] if i >= t else zero for i in reps[v]] for row in pres.epi.mats[v].data]
+            right_mats[v] = Matrix.adopt(m.dims[v], middle.dims[v], cols, m.field)
     left = ModuleMap(tau, middle, left_mats, check=False)
     right = ModuleMap(middle, m, right_mats, check=False)
     if middle.total_dim != tau.total_dim + m.total_dim:

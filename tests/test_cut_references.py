@@ -109,12 +109,12 @@ def reference_walk(arq, cap=10**6):
     index = {n: i for i, n in enumerate(names)}
     conditions = []
     for (x, y) in sorted(arq.arrows):
-        status, ty = arq.tau_status(y)
-        if status != "unknown":
+        ty = arq.tau.get(y)
+        if ty is not None or arq.vertices[y].is_projective:
             participants = [x, y] + ([ty] if ty is not None else [])
             conditions.append(("c1", x, y, ty, max(index[p] for p in participants)))
-        status, tx = arq.tau_inv_status(x)
-        if status != "unknown":
+        tx = arq.tau_inv.get(x)
+        if tx is not None or arq.vertices[x].is_injective:
             participants = [x, y] + ([tx] if tx is not None else [])
             conditions.append(("c2", x, y, tx, max(index[p] for p in participants)))
     by_depth = {}

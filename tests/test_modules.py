@@ -5,7 +5,7 @@ import pytest
 
 from arquiver import modules
 from arquiver.algebra import build_basis, parse_presentation
-from arquiver.cuts import hom_tau_conflict, iter_cuts, quotient_by_cut
+from arquiver.cuts import enumerate_cuts, hom_tau_conflict, iter_cuts, quotient_by_cut
 from arquiver.errors import DimensionError, PreconditionError
 from arquiver.knitting import knit
 from arquiver.linalg import Matrix, RowSpace, kernel_basis
@@ -481,6 +481,26 @@ def test_sincere_faithful(alg_cycle3, alg_cycle4, c4):
     assert sincere_faithful(mods3) == (True, False)
     assert sincere_faithful([c4["P"]["b"], c4["S"]["b"], c4["P"]["d"]]) == (False, False)
     assert sincere_faithful([regular_module(alg_cycle4)]) == (True, True)
+
+
+def test_sincere_faithful_ranks_only_a_sincere_family(
+    monkeypatch, arq_a2, arq_a3line, arq_b, arq_cycle3, arq_cycle4
+):
+    # a faithful family is sincere, so no rank can change the answer of
+    # one that is not
+    calls = []
+    rank = modules.rank
+    monkeypatch.setattr(modules, "rank", lambda m: calls.append(m) or rank(m))
+    seen = set()
+    for arq in (arq_a2, arq_a3line, arq_b, arq_cycle3, arq_cycle4):
+        for cut in enumerate_cuts(arq):
+            mods = [arq.module_of(n) for n in sorted(cut)]
+            before = len(calls)
+            sincere, faithful = sincere_faithful(mods)
+            assert len(calls) - before == (1 if sincere else 0), sorted(cut)
+            assert sincere or not faithful
+            seen.add(sincere)
+    assert seen == {False, True}
 
 
 def test_action_rows_are_built_once_per_module(monkeypatch, alg_cycle3):
