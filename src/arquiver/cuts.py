@@ -675,7 +675,9 @@ def quotient_by_cut(alg, arq, cut):
 
     Preconditions: the subquiver is a cut and its forward Hom(X, tau Y)
     table vanishes.  The lifted cut is verified to be a cut of the
-    re-knitted quiver, a slice, and translate-compatible.
+    re-knitted quiver, a slice, and translate-compatible.  Every
+    indecomposable B-module is one of A's, so B is knitted within the
+    default limits raised to the size of A's knit.
     """
     cut = sorted(set(cut))
     ok, violations = is_cut(arq, cut)
@@ -690,7 +692,11 @@ def quotient_by_cut(alg, arq, cut):
     ann = annihilator(mods)
     presentation, b = present_quotient(alg, ann)
     lifted = [lift_module(m, b) for m in mods]
-    arq_b = knit(b)
+    arq_b = knit(
+        b,
+        max_vertices=max(DEFAULT_MAX_VERTICES, len(arq.vertices)),
+        max_dim=max(DEFAULT_MAX_DIM, *(v.module.total_dim for v in arq.vertices.values())),
+    )
     lifted_names = []
     for m in lifted:
         # a lifted module is indecomposable: End over B equals End over A

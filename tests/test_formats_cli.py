@@ -481,7 +481,27 @@ def test_cli_quotient_rejects_non_cut(capsys):
     assert "hypothesis" in captured.err
 
 
-D4_CUT = ["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
+def test_cli_quotient_knits_b_within_the_limits_a_was_knitted_in(tmp_path, capsys):
+    # linear A23 has 276 indecomposables, past the default --max-vertices
+    # 256; every B-module is an A-module, so B needs no larger limits than A
+    path = tmp_path / "a23.alg"
+    path.write_text(
+        "field Q\n"
+        + "".join(f"vertex v{i}\n" for i in range(1, 24))
+        + "".join(f"arrow a{i}: v{i} -> v{i + 1}\n" for i in range(1, 23))
+    )
+    modules = ",".join([f"P_v{i}" for i in range(1, 23)] + ["S_v23"])
+    rc = main(["quotient", str(path), "--modules", modules, "--max-vertices", "300"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    out = json.loads(captured.out)
+    assert out["annihilator"]["dimension"] == 0
+    assert out["quotient"]["dimension"] == 276
+    assert out["delta_is_slice"] is True
+    assert out["certificate"]["verdict"] == "CERTIFIED_TILTED"
+
+
+D4_CUT =["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
 
 
 def _d4_file(tmp_path):
