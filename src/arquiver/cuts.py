@@ -253,6 +253,10 @@ def iter_cuts(arq, cap=DEFAULT_CAP, conflict=None):
     bounds the nodes of this walk: one per vertex still undecided when the
     walk reaches it, and one per finished assignment.  More raise
     ``CapExceeded``, which says how far the walk got.
+
+    The walk keeps its path as an explicit stack of frames ``[depth,
+    choices tried, trail mark]``, one per undecided vertex on it, so its
+    depth is not bounded by Python's recursion limit.
     """
     names = arq.names()
     n = len(names)
@@ -322,29 +326,35 @@ def iter_cuts(arq, cap=DEFAULT_CAP, conflict=None):
                 picked.pop()
             value[v] = None
 
-    def walk(depth):
-        nonlocal nodes, deepest, found
-        while depth < n and value[depth] is not None:
-            depth += 1
-        nodes += 1
-        if nodes > cap:
-            raise CapExceeded(
-                f"cut enumeration exceeded the cap of {cap} nodes: {cap} nodes walked, "
-                f"deepest depth {deepest} of {n}, {found} cuts found"
-            )
-        deepest = max(deepest, depth)
-        if depth == n:
-            if picked:
+    stack = []      # frames [depth, choices tried, trail mark]
+    depth = 0       # the node to enter next, or None to backtrack
+    while True:
+        if depth is not None:
+            while depth < n and value[depth] is not None:
+                depth += 1
+            nodes += 1
+            if nodes > cap:
+                raise CapExceeded(
+                    f"cut enumeration exceeded the cap of {cap} nodes: {cap} nodes walked, "
+                    f"deepest depth {deepest} of {n}, {found} cuts found"
+                )
+            deepest = max(deepest, depth)
+            if depth < n:
+                stack.append([depth, 0, len(trail)])
+            elif picked:
                 found += 1
                 yield frozenset(names[i] for i in picked)
+        if not stack:
             return
-        for chosen in (True, False):
-            mark = len(trail)
-            if settle(depth, chosen):
-                yield from walk(depth + 1)
-            undo(mark)
-
-    yield from walk(0)
+        frame = stack[-1]
+        v, tried, mark = frame
+        undo(mark)
+        if tried == 2:
+            stack.pop()
+            depth = None
+            continue
+        frame[1] = tried + 1
+        depth = v + 1 if settle(v, tried == 0) else None
 
 
 def enumerate_cuts(arq, cap=DEFAULT_CAP):

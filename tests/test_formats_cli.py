@@ -501,6 +501,23 @@ def test_cli_quotient_knits_b_within_the_limits_a_was_knitted_in(tmp_path, capsy
     assert out["certificate"]["verdict"] == "CERTIFIED_TILTED"
 
 
+def test_cli_cut_enumerate_walks_past_the_recursion_limit(tmp_path, capsys):
+    # a line of 1500 vertices with no translates: every nonempty subset is
+    # a cut, and the walk goes 1500 vertices deep before the cap stops it
+    path = tmp_path / "line.tq"
+    path.write_text(
+        "".join(f"vertex x{i}\n" for i in range(1500))
+        + "".join(f"arrow x{i} -> x{i + 1}\n" for i in range(1499))
+    )
+    rc = main(["cut", "enumerate", str(path), "--cap", "3000"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err == (
+        "error: cut enumeration exceeded the cap of 3000 nodes: 3000 nodes walked, "
+        "deepest depth 1500 of 1500, 753 cuts found\n"
+    )
+
+
 D4_CUT =["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
 
 
