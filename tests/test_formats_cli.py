@@ -518,7 +518,7 @@ def test_cli_cut_enumerate_walks_past_the_recursion_limit(tmp_path, capsys):
     )
 
 
-D4_CUT =["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
+D4_CUT = ["M{1,0,1,1}#1", "M{1,1,0,1}#1", "M{2,1,1,1}#1", "P_u3"]
 
 
 def _d4_file(tmp_path):
